@@ -185,7 +185,6 @@ def cmd_search(args: argparse.Namespace) -> int:
             mode=args.mode,
             use_translation_symmetry=not args.no_symmetry,
             node_limit=args.node_limit,
-            thread_hint=args.threads,
         )
     except ValueError as exc:
         return _fail(str(exc))
@@ -350,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--node-limit", type=int, default=None)
     p_search.add_argument("--no-symmetry", action="store_true",
                           help="disable translation-orbit anchoring")
-    p_search.add_argument("--threads", type=int, default=None)
     p_search.add_argument("--emit", help="write witnesses as labeling files to this path")
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=cmd_search)

@@ -86,18 +86,23 @@ _RECHECKS: dict[str, Callable[[dict[str, int]], bool]] = {
     "TranslationWitnessExists": lambda ns: ns["unused"] == ns["universe"] - ns["vertices"] >= 1,
     "EmptyExcluded": lambda ns: ns["unused"] >= 1,
     "UniqueDecomposition": lambda ns: ns["edge_count"] == ns["universe"] - 1,
-    "InvolutionPairing": lambda ns: ns["pair_size"] == 2,
-    "EvenSide": lambda ns: ns["pair_size"] == 2,
+    "InvolutionPairing": lambda ns: ns["pair_size"] == 2 and ns["p"] >= 2,
+    "EvenSide": lambda ns: (
+        ns["pair_size"] == 2 and ns["p"] * ns["q"] == ns["universe"] - 1 and ns["p"] % 2 == 1
+    ),
     "OddUniverseContradiction": lambda ns: ns["universe"] % 2 == 0 and ns["m"] >= 1,
 }
 
 
+def _exact_log2(t: int) -> int | None:
+    """m with t = 2**m for a positive t, or None when t is not a power of two."""
+    return t.bit_length() - 1 if t & (t - 1) == 0 else None
+
+
 def feasible_ground_size(g: Graph) -> FeasibilityVerdict:
     """The unique ground size m with |E| = 2**m - 1, when one exists."""
-    t = len(g.edges) + 1
-    if t & (t - 1) == 0:
-        return FeasibilityVerdict(feasible=True, m=t.bit_length() - 1)
-    return FeasibilityVerdict(feasible=False, m=None)
+    m = _exact_log2(len(g.edges) + 1)
+    return FeasibilityVerdict(feasible=m is not None, m=m)
 
 
 def star_theorem_decision(p: int, q: int) -> StarDecision:
@@ -108,10 +113,9 @@ def star_theorem_decision(p: int, q: int) -> StarDecision:
     """
     if p < 1 or q < 1:
         raise ValueError(f"side sizes must be positive, got p={p}, q={q}")
-    t = p * q + 1
-    if t & (t - 1) != 0:
+    m = _exact_log2(p * q + 1)
+    if m is None:
         return StarDecision(kind=EDGE_COUNT_INFEASIBLE, m=None)
-    m = t.bit_length() - 1
     if p == 1 or q == 1:
         return StarDecision(kind=STAR_ADMITS, m=m)
     return StarDecision(kind=NON_STAR_IMPOSSIBLE, m=m)
@@ -138,16 +142,14 @@ def proof_trace(p: int, q: int) -> ProofTrace:
     TraceNotApplicableError because the argument's hypothesis fails for them.
     Every step's arithmetic is re-verified while the trace is built.
     """
-    if p < 1 or q < 1:
-        raise ValueError(f"side sizes must be positive, got p={p}, q={q}")
-    t = p * q + 1
-    if t & (t - 1) != 0:
+    decision = star_theorem_decision(p, q)
+    if decision.kind == EDGE_COUNT_INFEASIBLE:
         raise ValueError(f"edge count {p * q} is not 2^m - 1 for any m; no trace to build")
-    if p == 1 or q == 1:
+    if decision.kind == STAR_ADMITS:
         raise TraceNotApplicableError(
             f"K_{{{p},{q}}} is a star; the contradiction needs (|P|-1)(|Q|-1) > 0"
         )
-    m = t.bit_length() - 1
+    m = decision.m
     universe = 1 << m
     vertices = p + q
     product = (p - 1) * (q - 1)
@@ -193,13 +195,13 @@ def proof_trace(p: int, q: int) -> ProofTrace:
         ),
         ProofStep(
             "InvolutionPairing",
-            {"pair_size": 2},
+            {"p": p, "pair_size": 2},
             "mapping u to that unique p' = theta(u) gives theta(u) != u (else g(q') "
             "would be empty) and theta(theta(u)) = u, a fixed-point-free involution on P.",
         ),
         ProofStep(
             "EvenSide",
-            {"p": p, "pair_size": 2},
+            {"p": p, "q": q, "universe": universe, "pair_size": 2},
             f"the pairs {{u, theta(u)}} partition P into blocks of size 2, "
             f"so |P| = {p} would be even.",
         ),

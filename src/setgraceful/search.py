@@ -13,17 +13,14 @@ orbit has size 2**m and contains exactly one labeling with the anchor
 vertex at the empty label.  With symmetry on, the anchor (first vertex in
 order) is pinned to 0 and raw counts are anchored counts times 2**m.
 
-Determinism: candidate labels are tried in ascending numeric order, and
-emitted witnesses are sorted by their label sequence in vertex order, so
-outcomes are identical for any thread_hint.  Parallel fan-out over the
-first unpinned vertex's label choices is used only in count/all mode with
-no node limit; first mode and node-limited runs are sequential, since their
-early-stop points depend on exploration order.
+Determinism: the search runs on one thread along one code path.  Candidate
+labels are tried in ascending numeric order and all-mode witnesses are
+sorted by their label sequence in vertex order, so a given graph and config
+always yield the same outcome, node count included.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from setgraceful.conditions import feasible_ground_size
@@ -39,15 +36,12 @@ class SearchConfig:
     mode: str = "count"
     use_translation_symmetry: bool = True
     node_limit: int | None = None
-    thread_hint: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError(f"node_limit must be positive, got {self.node_limit}")
-        if self.thread_hint is not None and self.thread_hint < 1:
-            raise ValueError(f"thread_hint must be at least 1, got {self.thread_hint}")
 
 
 @dataclass(frozen=True)
@@ -100,21 +94,16 @@ def vertex_order(g: Graph) -> list[int]:
 
 
 def _explore(
-    n_pos: int,
     back: list[list[int]],
-    labels: list[int],
     full: int,
-    used_v: int,
-    used_e: int,
-    start: int,
+    first: int,
     mode: str,
     budget: int | None,
 ) -> tuple[int, int, list[tuple[int, ...]], int, bool]:
-    """Iterative DFS over positions start..n_pos-1.
+    """Iterative DFS over all positions, the first restricted to the labels in first.
 
-    labels[0:start] and the occupancy masks describe the already-applied
-    prefix.  Returns (solutions, anchored solutions, witness tuples in
-    order-space, assignment attempts, limit_hit).
+    Returns (solutions, anchored solutions, witness tuples in order-space,
+    assignment attempts, limit_hit).
     """
     count = 0
     anchored = 0
@@ -122,24 +111,19 @@ def _explore(
     nodes = 0
     limit_hit = False
 
-    if start >= n_pos:
-        # The prefix is already a complete assignment.
-        count = 1
-        anchored = 1 if n_pos == 0 or labels[0] == 0 else 0
-        if mode != "count":
-            witnesses.append(tuple(labels))
-        return count, anchored, witnesses, nodes, limit_hit
-
+    n_pos = len(back)
     last = n_pos - 1
+    labels = [0] * n_pos
     avail = [0] * n_pos
     vbit = [0] * n_pos
     ebits = [0] * n_pos
-    i = start
-    avail[i] = full & ~used_v
+    used_v = used_e = 0
+    i = 0
+    avail[0] = first
     while True:
         a = avail[i]
         if a == 0:
-            if i == start:
+            if i == 0:
                 break
             i -= 1
             # Undo the assignment currently applied at the shallower depth.
@@ -156,8 +140,9 @@ def _explore(
         acc = 0
         ok = True
         for j in back[i]:
+            # Back-neighbours carry distinct labels, so their edge bits differ.
             eb = 1 << (lab ^ labels[j])
-            if (used_e | acc) & eb:
+            if used_e & eb:
                 ok = False
                 break
             acc |= eb
@@ -168,11 +153,10 @@ def _explore(
             count += 1
             if labels[0] == 0:
                 anchored += 1
-            if mode == "all":
+            if mode != "count":
                 witnesses.append(tuple(labels))
-            elif mode == "first":
-                witnesses.append(tuple(labels))
-                break
+                if mode == "first":
+                    break
             continue
         vbit[i] = low
         ebits[i] = acc
@@ -232,70 +216,11 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
         lst.sort()
 
     sym = cfg.use_translation_symmetry
-    labels = [0] * n
-    if sym:
-        # Pin the anchor to the empty label; one attempt on the house.
-        used_v, used_e = 1, 0
-        start = 1
-        nodes = 1
-    else:
-        used_v = used_e = 0
-        start = 0
-        nodes = 0
-
-    budget = None
-    if cfg.node_limit is not None:
-        budget = max(cfg.node_limit - nodes, 0)
-
-    parallel = (
-        (cfg.thread_hint or 0) > 1
-        and cfg.mode in ("count", "all")
-        and cfg.node_limit is None
-        and start < n
+    # With symmetry on, the anchor is pinned to the empty label.
+    first = 1 if sym else full
+    count, anchored, wit_tuples, nodes, limit_hit = _explore(
+        back, full, first, cfg.mode, cfg.node_limit,
     )
-    if parallel:
-        branch_labels = []
-        a = full & ~used_v
-        while a:
-            low = a & -a
-            a ^= low
-            branch_labels.append(low.bit_length() - 1)
-        tasks: list[tuple[int, int]] = []
-        for lab in branch_labels:
-            nodes += 1
-            acc = 0
-            ok = True
-            for j in back[start]:
-                eb = 1 << (lab ^ labels[j])
-                if (used_e | acc) & eb:
-                    ok = False
-                    break
-                acc |= eb
-            if ok:
-                tasks.append((lab, acc))
-
-        def run_branch(task: tuple[int, int]):
-            lab, acc = task
-            branch_labels_arr = labels.copy()
-            branch_labels_arr[start] = lab
-            return _explore(
-                n, back, branch_labels_arr, full,
-                used_v | (1 << lab), used_e | acc,
-                start + 1, cfg.mode, None,
-            )
-
-        with ThreadPoolExecutor(max_workers=cfg.thread_hint) as pool:
-            results = list(pool.map(run_branch, tasks))
-        count = sum(r[0] for r in results)
-        anchored = sum(r[1] for r in results)
-        wit_tuples = [w for r in results for w in r[2]]
-        nodes += sum(r[3] for r in results)
-        limit_hit = False
-    else:
-        count, anchored, wit_tuples, explored, limit_hit = _explore(
-            n, back, labels, full, used_v, used_e, start, cfg.mode, budget,
-        )
-        nodes += explored
 
     count_raw = count * universe if sym else count
     count_anchored = anchored

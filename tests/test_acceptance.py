@@ -25,7 +25,6 @@ from setgraceful import (
     translate,
     validate,
 )
-from setgraceful.cli import main
 
 from conftest import FEASIBLE_CORPUS, INFEASIBLE_CORPUS
 
@@ -158,17 +157,3 @@ def test_proof_trace_golden():
         assert trace.render() + "\n" == expected
     _ok("proof-trace-golden", "traces for (3,5) and (7,9) match the pinned text")
 
-
-def test_cmd_search_determinism_across_threads(tmp_path, capsys):
-    gpath = tmp_path / "k35.graph"
-    assert main(["gen", "--type", "complete-bipartite", "--p", "3", "--q", "5",
-                 "--out", str(gpath)]) == 0
-    capsys.readouterr()
-    code1 = main(["search", str(gpath), "--threads", "1"])
-    out1 = capsys.readouterr().out
-    code8 = main(["search", str(gpath), "--threads", "8"])
-    out8 = capsys.readouterr().out
-    assert code1 == code8 == 1  # exhausted with none found
-    assert out1 == out8
-    _ok("cmd-search-determinism",
-        f"byte-identical output for --threads 1 vs 8 ({len(out1)} bytes)")

@@ -1,5 +1,6 @@
 """Feasibility, the star decision, the constructive witness, and proof traces."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -163,3 +164,13 @@ def test_trace_arithmetic_rechecks_through_m10():
             assert all(step.recheck() for step in t.steps)
             checked += 1
     assert checked > 0  # 15, 63, 255, 511, 1023 all factor non-trivially
+
+
+def test_trace_recheck_rejects_tampered_numbers():
+    steps = {s.kind: s for s in proof_trace(3, 5).steps}
+    even = steps["EvenSide"]
+    assert not replace(even, numbers={**even.numbers, "p": 4}).recheck()
+    # An even side whose product still matches the edge count fails on parity alone.
+    assert not replace(even, numbers={**even.numbers, "p": 2, "q": 7, "universe": 15}).recheck()
+    pairing = steps["InvolutionPairing"]
+    assert not replace(pairing, numbers={**pairing.numbers, "p": 1}).recheck()

@@ -48,8 +48,6 @@ def test_config_validation():
         SearchConfig(mode="every")
     with pytest.raises(ValueError):
         SearchConfig(node_limit=0)
-    with pytest.raises(ValueError):
-        SearchConfig(thread_hint=0)
 
 
 @pytest.mark.parametrize("name,g,m", FEASIBLE_CORPUS, ids=[c[0] for c in FEASIBLE_CORPUS])
@@ -134,18 +132,6 @@ def test_first_mode_exhausts_on_unsat():
     assert outcome.count_raw == 0
 
 
-def test_determinism_across_thread_hints():
-    g = make_complete_bipartite(1, 7)
-    outcomes = [search(g, SearchConfig(mode="all", thread_hint=t)) for t in (None, 1, 2, 8)]
-    assert all(o == outcomes[0] for o in outcomes[1:])
-
-
-def test_determinism_across_thread_hints_count_mode():
-    g = make_cycle(7)
-    outcomes = [search(g, SearchConfig(mode="count", thread_hint=t)) for t in (None, 4)]
-    assert outcomes[0] == outcomes[1]
-
-
 def test_node_limit_stops_early():
     g = make_complete_bipartite(1, 7)
     full = search(g, SearchConfig(mode="count"))
@@ -153,6 +139,25 @@ def test_node_limit_stops_early():
     assert not limited.exhausted
     assert limited.nodes_explored == 100
     assert limited.count_raw <= full.count_raw
+
+
+def test_node_limit_one_stops_after_first_attempt():
+    outcome = search(make_cycle(7), SearchConfig(mode="count", node_limit=1))
+    assert outcome.nodes_explored == 1
+    assert not outcome.exhausted
+
+
+def test_pinned_node_counts():
+    # Every assignment attempt counts, pruned ones included.
+    first = search(make_cycle(15), SearchConfig(mode="first"))
+    assert first.nodes_explored == 31_515
+    assert len(first.witnesses) == 1
+    assert search(make_cycle(7)).nodes_explored == 2_948
+    off = SearchConfig(mode="count", use_translation_symmetry=False)
+    assert search(make_cycle(7), off).nodes_explored == 23_584
+    assert search(make_path(8)).nodes_explored == 3_284
+    star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all"))
+    assert star.nodes_explored == 13_700
 
 
 def test_node_limit_larger_than_tree_is_harmless():
@@ -168,13 +173,16 @@ def test_k35_exhausts_with_zero():
     assert outcome.m == 4
     assert outcome.exhausted
     assert outcome.count_raw == 0
+    assert outcome.nodes_explored == 4_624_636
 
 
 def test_single_vertex_graph():
-    outcome = search(Graph(1, ()))
-    assert outcome.m == 0
-    assert outcome.count_raw == 1
-    assert outcome.count_anchored == 1
+    for sym in (True, False):
+        outcome = search(Graph(1, ()), SearchConfig(use_translation_symmetry=sym))
+        assert outcome.m == 0
+        assert outcome.count_raw == 1
+        assert outcome.count_anchored == 1
+        assert outcome.nodes_explored == 1
 
 
 def test_empty_graph():
