@@ -183,7 +183,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     try:
         cfg = SearchConfig(
             mode=args.mode,
-            use_translation_symmetry=not args.no_symmetry,
+            symmetry="none" if args.no_symmetry else "affine",
             node_limit=args.node_limit,
         )
     except ValueError as exc:
@@ -259,12 +259,14 @@ def cmd_theorem(args: argparse.Namespace) -> int:
     run_exhaustive = m <= args.exhaustive_up_to
 
     records = []
+    traces: list[ProofTrace | None] = []
     all_agree = True
     for p, q in pairs:
         decision = star_theorem_decision(p, q)
         trace: ProofTrace | None = None
         if decision.kind == NON_STAR_IMPOSSIBLE:
             trace = proof_trace(p, q)
+        traces.append(trace)
         record: dict = {
             "p": p,
             "q": q,
@@ -295,12 +297,12 @@ def cmd_theorem(args: argparse.Namespace) -> int:
 
     print(f"theorem harness: m={m}, |X|={1 << m}, feasible edge count 2^{m} - 1 = {target}")
     print(f"factor pairs of {target}: " + " ".join(f"({p},{q})" for p, q in pairs))
-    for record in records:
+    for record, trace in zip(records, traces):
         p, q = record["p"], record["q"]
         print()
         print(f"pair ({p},{q}): {record['decision']['kind']} (m={record['decision']['m']})")
-        if record["trace"] is not None:
-            for line in proof_trace(p, q).render().splitlines():
+        if trace is not None:
+            for line in trace.render().splitlines():
                 print(f"  {line}")
         confirm = record["confirm"]
         if confirm is None:
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--mode", choices=list(MODES), default="count")
     p_search.add_argument("--node-limit", type=int, default=None)
     p_search.add_argument("--no-symmetry", action="store_true",
-                          help="disable translation-orbit anchoring")
+                          help="disable symmetry breaking (affine-orbit canonical labelings)")
     p_search.add_argument("--emit", help="write witnesses as labeling files to this path")
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=cmd_search)

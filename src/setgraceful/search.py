@@ -7,11 +7,26 @@ an unused vertex label and every edge to an already-placed neighbor gets a
 fresh edge label; distinct vertex labels already rule out empty edge
 labels, so the zero bit of the edge bitset can never be set.
 
-Translation symmetry: XOR-ing every vertex label with a fixed A preserves
-all edge labels, and the action is free (A xor f = f forces A = 0), so each
-orbit has size 2**m and contains exactly one labeling with the anchor
-vertex at the empty label.  With symmetry on, the anchor (first vertex in
-order) is pinned to 0 and raw counts are anchored counts times 2**m.
+Symmetry: whether a labeling is set-graceful depends only on the XOR
+structure of its labels, so every affine map x -> Mx xor t of GF(2)**m (M
+invertible) sends set-graceful labelings to set-graceful labelings.  The
+labels of a set-graceful labeling span GF(2)**m, so the action of the
+affine group AGL(m,2) is free and every orbit has 2**m * |GL(m,2)|
+members, where |GL(m,2)| = prod_{i<m} (2**m - 2**i).  With
+``symmetry="affine"`` (the default) the engine visits one labeling per
+orbit, the canonical one: the anchor (first vertex in order) carries the
+empty label, and every later label either lies in the span of the labels
+before it, which is {0, ..., 2**d - 1} for some d, or is exactly the next
+basis vector 2**d.  This is the lexicographically smallest member of its
+orbit in vertex order (orderly generation, McKay 1998).  Raw counts are
+canonical counts times 2**m * |GL(m,2)|.  ``symmetry="translation"`` uses
+only the XOR translations: the anchor is pinned to 0, orbits have size
+2**m and raw counts are anchored counts times 2**m.  ``symmetry="none"``
+explores every labeling.  The three settings differ only in the anchor's
+candidate mask and in the per-dimension candidate caps, and candidates are
+tried in ascending order, so the canonical labelings are visited in the
+same order as under translation: the first witness, the sorted all-mode
+list and the counts agree, and affine never explores more nodes.
 
 Determinism: the search runs on one thread along one code path.  Candidate
 labels are tried in ascending numeric order and all-mode witnesses are
@@ -29,17 +44,20 @@ from setgraceful.labeling import Labeling
 from setgraceful.labels import check_ground_size
 
 MODES = ("first", "count", "all")
+SYMMETRIES = ("affine", "translation", "none")
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     mode: str = "count"
-    use_translation_symmetry: bool = True
+    symmetry: str = "affine"
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.symmetry not in SYMMETRIES:
+            raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {self.symmetry!r}")
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError(f"node_limit must be positive, got {self.node_limit}")
 
@@ -50,9 +68,13 @@ class SearchOutcome:
 
     Counts are exact when the whole tree was explored; a node-limited run
     reports the partial counts found before the limit, and first mode stops
-    at its first hit, so its counts cover only what was found.  m is None
-    only for graphs whose edge count rules out every ground size, with the
-    reason recorded.
+    at its first hit, so its counts cover only what was found: the whole
+    symmetry orbit of the witness (2**m * |GL(m,2)| raw and |GL(m,2)|
+    anchored under affine symmetry, 2**m and 1 under translation).
+    count_anchored counts the labelings with the anchor at the empty label,
+    which is count_raw / 2**m whenever symmetry is on.  m is None only for
+    graphs whose edge count rules out every ground size, with the reason
+    recorded.
     """
 
     m: int | None
@@ -93,14 +115,43 @@ def vertex_order(g: Graph) -> list[int]:
     return order
 
 
+def _gl_order(m: int) -> int:
+    """|GL(m,2)|, the number of invertible linear maps of GF(2)**m."""
+    order = 1
+    for i in range(m):
+        order *= (1 << m) - (1 << i)
+    return order
+
+
+def _linear_tables(m: int) -> list[list[int]]:
+    """Value tables of every invertible linear map of GF(2)**m.
+
+    A map is fixed by the images of the basis vectors 1, 2, 4, ...; each
+    image must lie outside the span of the ones before it.
+    """
+    tables = [[0]]
+    for _ in range(m):
+        tables = [
+            tbl + [x ^ c for x in tbl]
+            for tbl in tables
+            for c in range(1 << m)
+            if c not in tbl
+        ]
+    return tables
+
+
 def _explore(
     back: list[list[int]],
-    full: int,
+    caps: list[int],
     first: int,
     mode: str,
     budget: int | None,
 ) -> tuple[int, int, list[tuple[int, ...]], int, bool]:
     """Iterative DFS over all positions, the first restricted to the labels in first.
+
+    A label equal to 2**d, where d is the number of basis vectors 1, 2, 4,
+    ... placed so far, raises d by one; the next position's candidates are
+    the free labels in caps[d].
 
     Returns (solutions, anchored solutions, witness tuples in order-space,
     assignment attempts, limit_hit).
@@ -117,6 +168,7 @@ def _explore(
     avail = [0] * n_pos
     vbit = [0] * n_pos
     ebits = [0] * n_pos
+    dims = [0] * n_pos
     used_v = used_e = 0
     i = 0
     avail[0] = first
@@ -162,8 +214,12 @@ def _explore(
         ebits[i] = acc
         used_v |= low
         used_e |= acc
+        d = dims[i]
+        if lab == 1 << d:
+            d += 1
         i += 1
-        avail[i] = full & ~used_v
+        dims[i] = d
+        avail[i] = caps[d] & ~used_v
     return count, anchored, witnesses, nodes, limit_hit
 
 
@@ -173,7 +229,8 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     A graph whose edge count is not 2**m - 1 for any m gets an immediate
     zero outcome with the reason recorded (not an error).  Otherwise the
     ground size is forced and the engine explores every injective
-    assignment compatible with the occupancy bitsets.
+    assignment compatible with the occupancy bitsets, one per orbit of
+    cfg.symmetry.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -215,23 +272,38 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     for lst in back:
         lst.sort()
 
-    sym = cfg.use_translation_symmetry
-    # With symmetry on, the anchor is pinned to the empty label.
-    first = 1 if sym else full
+    sym = cfg.symmetry
+    # With symmetry on, the anchor is pinned to the empty label; affine
+    # symmetry also caps each label at the next basis vector 2**d.
+    first = full if sym == "none" else 1
+    if sym == "affine":
+        caps = [(2 << (1 << d)) - 1 for d in range(m)] + [full]
+        linear = _gl_order(m)
+    else:
+        caps = [full] * (m + 1)
+        linear = 1
     count, anchored, wit_tuples, nodes, limit_hit = _explore(
-        back, full, first, cfg.mode, cfg.node_limit,
+        back, caps, first, cfg.mode, cfg.node_limit,
     )
 
-    count_raw = count * universe if sym else count
-    count_anchored = anchored
+    translations = 1 if sym == "none" else universe
+    count_raw = count * translations * linear
+    count_anchored = anchored * linear
 
     if cfg.mode == "count":
         final_witnesses: tuple[Labeling, ...] = ()
     else:
         tuples = wit_tuples
-        if sym and cfg.mode == "all":
-            # Expand each anchored representative to its full translation orbit.
-            tuples = [tuple(x ^ t for x in w) for w in wit_tuples for t in range(universe)]
+        if sym != "none" and cfg.mode == "all" and wit_tuples:
+            # Expand each representative to its full orbit.  With the
+            # translation outermost the CLI's peak RSS measured lowest.
+            tables = _linear_tables(m) if sym == "affine" else [range(universe)]
+            tuples = [
+                tuple(tbl[x] ^ t for x in w)
+                for t in range(universe)
+                for tbl in tables
+                for w in wit_tuples
+            ]
         if cfg.mode == "all":
             tuples.sort()
         converted = []

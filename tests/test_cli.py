@@ -5,6 +5,7 @@ import json
 import pytest
 
 from setgraceful.cli import main
+from setgraceful.conditions import proof_trace
 
 
 def run(capsys, *argv):
@@ -204,6 +205,21 @@ def test_theorem_m6_traces_without_search(capsys):
         assert pair in out
     assert "confirm: skipped" in out
     assert "OddUniverseContradiction" in out
+
+
+def test_theorem_builds_each_trace_once(capsys, monkeypatch):
+    for extra in ((), ("--json",)):
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return proof_trace(p, q)
+
+        monkeypatch.setattr("setgraceful.cli.proof_trace", counting)
+        code, _, _ = run(capsys, "theorem", "--m", "6", *extra)
+        assert code == 0
+        # 63 has four non-star factor pairs: (3,21), (7,9), (9,7), (21,3).
+        assert len(calls) == 4
 
 
 def test_theorem_bad_m_exits_2(capsys):

@@ -62,7 +62,7 @@ def test_oracle_equivalence(name, g, m):
 @pytest.mark.parametrize("name,g,m", FEASIBLE_CORPUS, ids=[c[0] for c in FEASIBLE_CORPUS])
 def test_symmetry_off_matches_on(name, g, m):
     on = search(g, SearchConfig(mode="count"))
-    off = search(g, SearchConfig(mode="count", use_translation_symmetry=False))
+    off = search(g, SearchConfig(mode="count", symmetry="none"))
     assert on.count_raw == off.count_raw
     assert on.count_anchored == off.count_anchored
     # Anchoring prunes the root fan-out, never adds work.
@@ -71,7 +71,7 @@ def test_symmetry_off_matches_on(name, g, m):
 
 @pytest.mark.parametrize("name,g,m", FEASIBLE_CORPUS, ids=[c[0] for c in FEASIBLE_CORPUS])
 def test_count_divisible_by_universe(name, g, m):
-    outcome = search(g, SearchConfig(mode="count", use_translation_symmetry=False))
+    outcome = search(g, SearchConfig(mode="count", symmetry="none"))
     assert outcome.count_raw % (1 << m) == 0
     assert outcome.count_raw == outcome.count_anchored * (1 << m)
 
@@ -134,8 +134,8 @@ def test_first_mode_exhausts_on_unsat():
 
 def test_node_limit_stops_early():
     g = make_complete_bipartite(1, 7)
-    full = search(g, SearchConfig(mode="count"))
-    limited = search(g, SearchConfig(mode="count", node_limit=100))
+    full = search(g, SearchConfig(mode="count", symmetry="translation"))
+    limited = search(g, SearchConfig(mode="count", symmetry="translation", node_limit=100))
     assert not limited.exhausted
     assert limited.nodes_explored == 100
     assert limited.count_raw <= full.count_raw
@@ -149,14 +149,14 @@ def test_node_limit_one_stops_after_first_attempt():
 
 def test_pinned_node_counts():
     # Every assignment attempt counts, pruned ones included.
-    first = search(make_cycle(15), SearchConfig(mode="first"))
+    first = search(make_cycle(15), SearchConfig(mode="first", symmetry="translation"))
     assert first.nodes_explored == 31_515
     assert len(first.witnesses) == 1
-    assert search(make_cycle(7)).nodes_explored == 2_948
-    off = SearchConfig(mode="count", use_translation_symmetry=False)
+    assert search(make_cycle(7), SearchConfig(symmetry="translation")).nodes_explored == 2_948
+    off = SearchConfig(mode="count", symmetry="none")
     assert search(make_cycle(7), off).nodes_explored == 23_584
-    assert search(make_path(8)).nodes_explored == 3_284
-    star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all"))
+    assert search(make_path(8), SearchConfig(symmetry="translation")).nodes_explored == 3_284
+    star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all", symmetry="translation"))
     assert star.nodes_explored == 13_700
 
 
@@ -169,7 +169,7 @@ def test_node_limit_larger_than_tree_is_harmless():
 
 
 def test_k35_exhausts_with_zero():
-    outcome = search(make_complete_bipartite(3, 5), SearchConfig(mode="count"))
+    outcome = search(make_complete_bipartite(3, 5), SearchConfig(mode="count", symmetry="translation"))
     assert outcome.m == 4
     assert outcome.exhausted
     assert outcome.count_raw == 0
@@ -177,8 +177,8 @@ def test_k35_exhausts_with_zero():
 
 
 def test_single_vertex_graph():
-    for sym in (True, False):
-        outcome = search(Graph(1, ()), SearchConfig(use_translation_symmetry=sym))
+    for sym in ("affine", "translation", "none"):
+        outcome = search(Graph(1, ()), SearchConfig(symmetry=sym))
         assert outcome.m == 0
         assert outcome.count_raw == 1
         assert outcome.count_anchored == 1
@@ -198,3 +198,65 @@ def test_too_many_vertices_for_universe():
     assert outcome.m == 1
     assert outcome.count_raw == 0
     assert outcome.exhausted
+
+
+def test_config_rejects_unknown_symmetry():
+    with pytest.raises(ValueError):
+        SearchConfig(symmetry="rotation")
+
+
+# Affine symmetry: one canonical labeling per AGL(m,2) orbit, orbit size
+# 2**m * |GL(m,2)| (1,344 at m=3, 322,560 at m=4).
+
+
+def test_affine_k35_k53_exhaust_with_zero():
+    for p, q in ((3, 5), (5, 3)):
+        outcome = search(make_complete_bipartite(p, q), SearchConfig(mode="count"))
+        assert outcome.m == 4
+        assert outcome.exhausted
+        assert outcome.count_raw == 0
+        assert outcome.nodes_explored == 243
+
+
+def test_affine_p16_has_no_labeling():
+    outcome = search(make_path(16), SearchConfig(mode="first"))
+    assert outcome.exhausted
+    assert outcome.count_raw == 0
+    assert outcome.witnesses == ()
+    assert outcome.nodes_explored == 282_091
+
+
+def test_affine_c15_count():
+    outcome = search(make_cycle(15), SearchConfig(mode="count"))
+    assert outcome.exhausted
+    assert outcome.count_raw == 1_117_347_840 == 3_464 * 322_560
+    assert outcome.count_anchored == 3_464 * 20_160
+    assert outcome.nodes_explored == 278_627
+
+
+def test_affine_c15_first_matches_translation_witness():
+    witness = (0, 1, 2, 4, 3, 8, 5, 10, 6, 12, 9, 11, 15, 7, 14)
+    affine = search(make_cycle(15), SearchConfig(mode="first"))
+    translation = search(make_cycle(15), SearchConfig(mode="first", symmetry="translation"))
+    assert affine.nodes_explored == 4_831
+    assert affine.witnesses[0].values == translation.witnesses[0].values == witness
+    # First-mode counts cover the witness's whole orbit.
+    assert (affine.count_raw, affine.count_anchored) == (322_560, 20_160)
+    assert (translation.count_raw, translation.count_anchored) == (16, 1)
+
+
+def test_affine_pinned_node_counts():
+    assert search(make_cycle(7)).nodes_explored == 21
+    assert search(make_path(8)).nodes_explored == 23
+    star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all"))
+    assert star.nodes_explored == 85
+    assert len(star.witnesses) == star.count_raw == 40_320
+
+
+def test_affine_node_limit_stops_early():
+    g = make_complete_bipartite(1, 7)
+    limited = search(g, SearchConfig(mode="count", node_limit=50))
+    assert not limited.exhausted
+    assert limited.nodes_explored == 50
+    assert 0 < limited.count_raw < 40_320
+    assert limited.count_raw % 1_344 == 0
