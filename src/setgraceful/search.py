@@ -25,8 +25,12 @@ only the XOR translations: the anchor is pinned to 0, orbits have size
 explores every labeling.  The three settings differ only in the anchor's
 candidate mask and in the per-dimension candidate caps, and candidates are
 tried in ascending order, so the canonical labelings are visited in the
-same order as under translation: the first witness, the sorted all-mode
-list and the counts agree, and affine never explores more nodes.
+same order as under translation: the first witness and the counts agree,
+and affine never explores more nodes.  All mode returns every labeling,
+and each canonical one stands for an orbit of 2**m * |GL(m,2)| of them, so
+a node limit would not bound the list; all mode therefore searches with
+translation symmetry whenever symmetry is on, and its witnesses, counts and
+node counts are those of ``symmetry="translation"``.
 
 Determinism: the search runs on one thread along one code path.  Candidate
 labels are tried in ascending numeric order and all-mode witnesses are
@@ -70,7 +74,8 @@ class SearchOutcome:
     reports the partial counts found before the limit, and first mode stops
     at its first hit, so its counts cover only what was found: the whole
     symmetry orbit of the witness (2**m * |GL(m,2)| raw and |GL(m,2)|
-    anchored under affine symmetry, 2**m and 1 under translation).
+    anchored under affine symmetry, 2**m and 1 under translation).  All
+    mode always searches with translation symmetry when symmetry is on.
     count_anchored counts the labelings with the anchor at the empty label,
     which is count_raw / 2**m whenever symmetry is on.  m is None only for
     graphs whose edge count rules out every ground size, with the reason
@@ -121,23 +126,6 @@ def _gl_order(m: int) -> int:
     for i in range(m):
         order *= (1 << m) - (1 << i)
     return order
-
-
-def _linear_tables(m: int) -> list[list[int]]:
-    """Value tables of every invertible linear map of GF(2)**m.
-
-    A map is fixed by the images of the basis vectors 1, 2, 4, ...; each
-    image must lie outside the span of the ones before it.
-    """
-    tables = [[0]]
-    for _ in range(m):
-        tables = [
-            tbl + [x ^ c for x in tbl]
-            for tbl in tables
-            for c in range(1 << m)
-            if c not in tbl
-        ]
-    return tables
 
 
 def _explore(
@@ -230,7 +218,7 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     zero outcome with the reason recorded (not an error).  Otherwise the
     ground size is forced and the engine explores every injective
     assignment compatible with the occupancy bitsets, one per orbit of
-    cfg.symmetry.
+    cfg.symmetry (of translation symmetry in all mode).
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -273,10 +261,13 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
         lst.sort()
 
     sym = cfg.symmetry
-    # With symmetry on, the anchor is pinned to the empty label; affine
-    # symmetry also caps each label at the next basis vector 2**d.
+    # With symmetry on, the anchor is pinned to the empty label.  Affine
+    # symmetry also caps each label at the next basis vector 2**d, except in
+    # all mode: there every canonical labeling would expand to 2**m *
+    # |GL(m,2)| witnesses however few nodes the limit allows, so all mode
+    # searches under translation symmetry and returns the same list.
     first = full if sym == "none" else 1
-    if sym == "affine":
+    if sym == "affine" and cfg.mode != "all":
         caps = [(2 << (1 << d)) - 1 for d in range(m)] + [full]
         linear = _gl_order(m)
     else:
@@ -294,16 +285,9 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
         final_witnesses: tuple[Labeling, ...] = ()
     else:
         tuples = wit_tuples
-        if sym != "none" and cfg.mode == "all" and wit_tuples:
-            # Expand each representative to its full orbit.  With the
-            # translation outermost the CLI's peak RSS measured lowest.
-            tables = _linear_tables(m) if sym == "affine" else [range(universe)]
-            tuples = [
-                tuple(tbl[x] ^ t for x in w)
-                for t in range(universe)
-                for tbl in tables
-                for w in wit_tuples
-            ]
+        if sym != "none" and cfg.mode == "all":
+            # Expand each anchored representative to its full translation orbit.
+            tuples = [tuple(x ^ t for x in w) for w in wit_tuples for t in range(universe)]
         if cfg.mode == "all":
             tuples.sort()
         converted = []

@@ -248,9 +248,23 @@ def test_affine_c15_first_matches_translation_witness():
 def test_affine_pinned_node_counts():
     assert search(make_cycle(7)).nodes_explored == 21
     assert search(make_path(8)).nodes_explored == 23
-    star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all"))
-    assert star.nodes_explored == 85
+
+
+def test_all_mode_searches_with_translation_symmetry():
+    # All mode lists every labeling, so it keeps the translation tree and
+    # its node count even when affine symmetry is set.
+    g = make_complete_bipartite(1, 7)
+    star = search(g, SearchConfig(mode="all"))
+    assert star == search(g, SearchConfig(mode="all", symmetry="translation"))
+    assert star.nodes_explored == 13_700
     assert len(star.witnesses) == star.count_raw == 40_320
+
+
+def test_all_mode_node_limit_bounds_witnesses():
+    limited = search(make_complete_bipartite(1, 15), SearchConfig(mode="all", node_limit=1000))
+    assert not limited.exhausted
+    assert limited.nodes_explored == 1000
+    assert 0 < len(limited.witnesses) == limited.count_raw < 20_000
 
 
 def test_affine_node_limit_stops_early():
