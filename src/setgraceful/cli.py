@@ -82,8 +82,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_graph(g, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write_graph(g, fh)
+        except OSError as exc:
+            return _fail(str(exc))
     else:
         write_graph(g, sys.stdout)
     return EXIT_OK
@@ -192,7 +195,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     outcome = search(g, cfg)
     emitted: list[str] = []
     if args.emit:
-        emitted = _emit_witnesses(outcome, args.emit)
+        try:
+            emitted = _emit_witnesses(outcome, args.emit)
+        except OSError as exc:
+            return _fail(str(exc))
 
     if args.json:
         payload = _outcome_payload(outcome)
@@ -235,19 +241,6 @@ def _divisors(t: int) -> list[int]:
     return sorted(set(small + [t // d for d in small]))
 
 
-def _confirm_pair(p: int, q: int, m: int) -> tuple[str, SearchOutcome]:
-    """Exhaustive confirmation run for one factor pair.
-
-    Non-stars must be fully exhausted, so they run in count mode; that is
-    also fine for stars up to m = 3.  Larger stars only need existence, so
-    first mode avoids enumerating factorially many labelings.
-    """
-    is_star = p == 1 or q == 1
-    mode = "count" if (not is_star or m <= 3) else "first"
-    outcome = search(make_complete_bipartite(p, q), SearchConfig(mode=mode))
-    return mode, outcome
-
-
 def cmd_theorem(args: argparse.Namespace) -> int:
     m = args.m
     if m is None:
@@ -275,14 +268,14 @@ def cmd_theorem(args: argparse.Namespace) -> int:
             "confirm": None,
         }
         if run_exhaustive:
-            mode, outcome = _confirm_pair(p, q, m)
-            if decision.kind == STAR_ADMITS:
-                agrees = outcome.exhausted and outcome.count_raw > 0
-            else:
-                agrees = outcome.exhausted and outcome.count_raw == 0
+            # First mode walks the count-mode tree until a witness, so it
+            # exhausts a non-star exactly as count mode would and stops a
+            # star at its first labeling.
+            outcome = search(make_complete_bipartite(p, q), SearchConfig(mode="first"))
+            agrees = outcome.exhausted and (outcome.count_raw > 0) == (decision.kind == STAR_ADMITS)
             all_agree = all_agree and agrees
             record["confirm"] = {
-                "mode": mode,
+                "mode": "first",
                 "count_raw": outcome.count_raw,
                 "exhausted": outcome.exhausted,
                 "agrees": agrees,

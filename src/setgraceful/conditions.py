@@ -67,18 +67,6 @@ class ProofTrace:
         return "\n".join(f"{i}. {s.kind}: {s.conclusion}" for i, s in enumerate(self.steps, 1))
 
 
-STEP_KINDS = (
-    "EdgeCountIdentity",
-    "NonStarProduct",
-    "UniverseExceedsVertices",
-    "TranslationWitnessExists",
-    "EmptyExcluded",
-    "UniqueDecomposition",
-    "InvolutionPairing",
-    "EvenSide",
-    "OddUniverseContradiction",
-)
-
 _RECHECKS: dict[str, Callable[[dict[str, int]], bool]] = {
     "EdgeCountIdentity": lambda ns: ns["p"] * ns["q"] + 1 == 2 ** ns["m"] == ns["universe"],
     "NonStarProduct": lambda ns: ns["product"] == (ns["p"] - 1) * (ns["q"] - 1) > 0,
@@ -92,6 +80,8 @@ _RECHECKS: dict[str, Callable[[dict[str, int]], bool]] = {
     ),
     "OddUniverseContradiction": lambda ns: ns["universe"] % 2 == 0 and ns["m"] >= 1,
 }
+# The proof's steps in order, one per recheck.
+STEP_KINDS = tuple(_RECHECKS)
 
 
 def _exact_log2(t: int) -> int | None:

@@ -14,7 +14,6 @@ Vertices 0..n-1 must each appear exactly once; ``#`` starts a comment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Iterable
 
 from setgraceful.graph import Edge, Graph
@@ -81,6 +80,22 @@ def edge_labels(g: Graph, f: Labeling) -> list[int]:
     return [values[u] ^ values[v] for u, v in g.edges]
 
 
+def _first_duplicate(items: Iterable[int]) -> tuple[int, int] | None:
+    """The lexicographically smallest index pair (i, j), i < j, of equal items.
+
+    Within one value class the smallest pair is its first and second
+    occurrence, so the answer is the minimum of those pairs over classes.
+    """
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for idx, item in enumerate(items):
+        if item in first:
+            second.setdefault(item, idx)
+        else:
+            first[item] = idx
+    return min(((first[item], j) for item, j in second.items()), default=None)
+
+
 def validate(g: Graph, f: Labeling) -> ValidationReport:
     """Check the set-graceful predicate, reporting every failing component.
 
@@ -94,32 +109,10 @@ def validate(g: Graph, f: Labeling) -> ValidationReport:
 
     range_ok = all(0 <= v < limit for v in values)
 
-    # Lexicographically smallest duplicate pair: within one label class the
-    # smallest pair is (first, second) occurrence, so take the min over classes.
-    first_seen: dict[int, int] = {}
-    second_seen: dict[int, int] = {}
-    for v, value in enumerate(values):
-        if value in first_seen:
-            second_seen.setdefault(value, v)
-        else:
-            first_seen[value] = v
-    vertex_witness = min(
-        ((first_seen[val], second) for val, second in second_seen.items()),
-        default=None,
-    )
+    vertex_witness = _first_duplicate(values)
     vertex_injective = vertex_witness is None
 
-    first_edge: dict[int, int] = {}
-    second_edge: dict[int, int] = {}
-    for idx, lab in enumerate(labels):
-        if lab in first_edge:
-            second_edge.setdefault(lab, idx)
-        else:
-            first_edge[lab] = idx
-    dup = min(
-        ((first_edge[lab], second) for lab, second in second_edge.items()),
-        default=None,
-    )
+    dup = _first_duplicate(labels)
     edge_witness = (g.edges[dup[0]], g.edges[dup[1]]) if dup is not None else None
     edge_injective = edge_witness is None
 
@@ -180,18 +173,6 @@ def normalize_anchor(f: Labeling, v0: int) -> Labeling:
     return translate(f, f.values[v0])
 
 
-@lru_cache(maxsize=8)
-def _inverse_edge_table(g: Graph, f: Labeling) -> dict[int, Edge] | None:
-    """Label-to-edge table for a valid labeling, None when it is invalid.
-
-    Both arguments are immutable and hashable, so the table is built once
-    per (graph, labeling) pair and reused across preimage queries.
-    """
-    if not validate(g, f).valid:
-        return None
-    return {lab: g.edges[i] for i, lab in enumerate(edge_labels(g, f))}
-
-
 def edge_preimage(g: Graph, f: Labeling, s: int) -> Edge:
     """The unique edge whose induced label equals s, for a valid labeling.
 
@@ -202,10 +183,9 @@ def edge_preimage(g: Graph, f: Labeling, s: int) -> Edge:
         raise ValueError(f"label {s} out of range for ground size m={f.m}")
     if s == 0:
         raise ValueError("empty label has no edge")
-    table = _inverse_edge_table(g, f)
-    if table is None:
+    if not validate(g, f).valid:
         raise ValueError("labeling is not set-graceful; edge labels are not a bijection")
-    return table[s]
+    return g.edges[edge_labels(g, f).index(s)]
 
 
 def read_labeling(stream: IO[str] | Iterable[str]) -> Labeling:

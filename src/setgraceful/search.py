@@ -137,9 +137,11 @@ def _explore(
 ) -> tuple[int, int, list[tuple[int, ...]], int, bool]:
     """Iterative DFS over all positions, the first restricted to the labels in first.
 
-    A label equal to 2**d, where d is the number of basis vectors 1, 2, 4,
-    ... placed so far, raises d by one; the next position's candidates are
-    the free labels in caps[d].
+    The next position's candidates are the free labels in caps[d], where d
+    is the bit length of the largest label placed so far.  Under the
+    canonical rule the labels placed span {0, ..., 2**d - 1}, so d is the
+    number of basis vectors 1, 2, 4, ... placed; under translation or no
+    symmetry every cap is the full mask and d does not matter.
 
     Returns (solutions, anchored solutions, witness tuples in order-space,
     assignment attempts, limit_hit).
@@ -154,9 +156,7 @@ def _explore(
     last = n_pos - 1
     labels = [0] * n_pos
     avail = [0] * n_pos
-    vbit = [0] * n_pos
     ebits = [0] * n_pos
-    dims = [0] * n_pos
     used_v = used_e = 0
     i = 0
     avail[0] = first
@@ -167,7 +167,7 @@ def _explore(
                 break
             i -= 1
             # Undo the assignment currently applied at the shallower depth.
-            used_v ^= vbit[i]
+            used_v ^= 1 << labels[i]
             used_e ^= ebits[i]
             continue
         if budget is not None and nodes >= budget:
@@ -178,36 +178,28 @@ def _explore(
         avail[i] = a ^ low
         lab = low.bit_length() - 1
         acc = 0
-        ok = True
         for j in back[i]:
             # Back-neighbours carry distinct labels, so their edge bits differ.
             eb = 1 << (lab ^ labels[j])
             if used_e & eb:
-                ok = False
                 break
             acc |= eb
-        if not ok:
-            continue
-        labels[i] = lab
-        if i == last:
-            count += 1
-            if labels[0] == 0:
-                anchored += 1
-            if mode != "count":
-                witnesses.append(tuple(labels))
-                if mode == "first":
-                    break
-            continue
-        vbit[i] = low
-        ebits[i] = acc
-        used_v |= low
-        used_e |= acc
-        d = dims[i]
-        if lab == 1 << d:
-            d += 1
-        i += 1
-        dims[i] = d
-        avail[i] = caps[d] & ~used_v
+        else:
+            labels[i] = lab
+            if i == last:
+                count += 1
+                if labels[0] == 0:
+                    anchored += 1
+                if mode != "count":
+                    witnesses.append(tuple(labels))
+                    if mode == "first":
+                        break
+                continue
+            ebits[i] = acc
+            used_v |= low
+            used_e |= acc
+            i += 1
+            avail[i] = caps[(used_v.bit_length() - 1).bit_length()] & ~used_v
     return count, anchored, witnesses, nodes, limit_hit
 
 
@@ -215,7 +207,8 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Find, count, or enumerate the set-graceful labelings of g.
 
     A graph whose edge count is not 2**m - 1 for any m gets an immediate
-    zero outcome with the reason recorded (not an error).  Otherwise the
+    zero outcome with the reason recorded (not an error), and one with more
+    vertices than labels gets a zero outcome without search.  Otherwise the
     ground size is forced and the engine explores every injective
     assignment compatible with the occupancy bitsets, one per orbit of
     cfg.symmetry (of translation symmetry in all mode).
@@ -245,6 +238,13 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
             m=m, count_raw=1, count_anchored=1, witnesses=wits,
             nodes_explored=0, exhausted=True,
         )
+    if n > universe:
+        # Too few labels for distinct vertex labels.  Answer before building
+        # per-vertex state, whose size only the vertex count bounds.
+        return SearchOutcome(
+            m=m, count_raw=0, count_anchored=0, witnesses=(),
+            nodes_explored=0, exhausted=True,
+        )
 
     order = vertex_order(g)
     pos = [0] * n
@@ -257,8 +257,6 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
             back[j].append(i)
         else:
             back[i].append(j)
-    for lst in back:
-        lst.sort()
 
     sym = cfg.symmetry
     # With symmetry on, the anchor is pinned to the empty label.  Affine
@@ -281,28 +279,24 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     count_raw = count * translations * linear
     count_anchored = anchored * linear
 
-    if cfg.mode == "count":
-        final_witnesses: tuple[Labeling, ...] = ()
-    else:
-        tuples = wit_tuples
-        if sym != "none" and cfg.mode == "all":
+    tuples = wit_tuples
+    if cfg.mode == "all":
+        if sym != "none":
             # Expand each anchored representative to its full translation orbit.
             tuples = [tuple(x ^ t for x in w) for w in wit_tuples for t in range(universe)]
-        if cfg.mode == "all":
-            tuples.sort()
-        converted = []
-        for w in tuples:
-            vals = [0] * n
-            for i, lab in enumerate(w):
-                vals[order[i]] = lab
-            converted.append(Labeling(m, tuple(vals)))
-        final_witnesses = tuple(converted)
+        tuples.sort()
+    witnesses = []
+    for w in tuples:
+        vals = [0] * n
+        for i, lab in enumerate(w):
+            vals[order[i]] = lab
+        witnesses.append(Labeling(m, tuple(vals)))
 
     return SearchOutcome(
         m=m,
         count_raw=count_raw,
         count_anchored=count_anchored,
-        witnesses=final_witnesses,
+        witnesses=tuple(witnesses),
         nodes_explored=nodes,
         exhausted=not limit_hit,
     )

@@ -1,9 +1,14 @@
 """End-to-end CLI flows: exit codes, formats, emitted files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import setgraceful
 from setgraceful.cli import main
 from setgraceful.conditions import proof_trace
 
@@ -50,6 +55,13 @@ def test_gen_cycle_too_small_exits_2(capsys):
 def test_gen_missing_param_exits_2(capsys):
     code, _, err = run(capsys, "gen", "--type", "path")
     assert code == 2
+
+
+def test_gen_unwritable_out_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "gen", "--type", "path", "--n", "4",
+                       "--out", str(tmp_path / "missing" / "x.graph"))
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_check_valid_star(capsys, star_files):
@@ -155,6 +167,29 @@ def test_search_emit_all_numbered_files(capsys, tmp_path):
         assert code2 == 0
 
 
+def test_search_emit_unwritable_exits_2(capsys, star_files, tmp_path):
+    gpath, _ = star_files
+    code, _, err = run(capsys, "search", str(gpath), "--mode", "first",
+                       "--emit", str(tmp_path / "missing" / "w.lab"))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_search_no_symmetry_same_count_more_nodes(capsys, tmp_path):
+    gpath = tmp_path / "c7.graph"
+    run(capsys, "gen", "--type", "cycle", "--n", "7", "--out", str(gpath))
+    code, on, _ = run(capsys, "search", str(gpath))
+    assert code == 0
+    code, off, _ = run(capsys, "search", str(gpath), "--no-symmetry")
+    assert code == 0
+    assert "count_raw=2688" in on.splitlines()
+    assert "count_raw=2688" in off.splitlines()
+    assert "mode=count symmetry=on" in on.splitlines()
+    assert "mode=count symmetry=off" in off.splitlines()
+    assert "nodes_explored=21" in on.splitlines()
+    assert "nodes_explored=23584" in off.splitlines()
+
+
 def test_search_emit_with_count_mode_rejected(capsys, star_files, tmp_path):
     gpath, _ = star_files
     code, _, err = run(capsys, "search", str(gpath), "--emit", str(tmp_path / "x.lab"))
@@ -188,6 +223,17 @@ def test_theorem_m3_all_star_pairs(capsys):
     assert "star-admits" in out
 
 
+def test_theorem_m3_json_confirms_stars_in_first_mode(capsys):
+    code, out, _ = run(capsys, "theorem", "--m", "3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [(rec["p"], rec["q"]) for rec in payload["pairs"]] == [(1, 7), (7, 1)]
+    for rec in payload["pairs"]:
+        # One witness's affine orbit: 2^3 * |GL(3,2)| = 8 * 168.
+        assert rec["confirm"] == {"mode": "first", "count_raw": 1344,
+                                  "exhausted": True, "agrees": True}
+
+
 def test_theorem_m4_confirms_star_theorem(capsys):
     code, out, _ = run(capsys, "theorem", "--m", "4")
     assert code == 0
@@ -195,6 +241,14 @@ def test_theorem_m4_confirms_star_theorem(capsys):
     assert out.count("non-star-impossible") == 2
     assert out.count("count_raw=0") == 2
     assert out.count("OddUniverseContradiction") == 2
+    assert "all pairs agree: yes" in out
+
+
+def test_theorem_m5_exhaustive(capsys):
+    code, out, _ = run(capsys, "theorem", "--m", "5", "--exhaustive-up-to", "5")
+    assert code == 0
+    assert "factor pairs of 31: (1,31) (31,1)" in out
+    assert out.count(", agrees") == 2
     assert "all pairs agree: yes" in out
 
 
@@ -239,3 +293,26 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--type", "tesseract"])
     assert exc.value.code == 2
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """Exit codes survive `python -m setgraceful.cli`, with no traceback."""
+    star = tmp_path / "star.graph"
+    star.write_text("0 1\n0 2\n0 3\n")
+    k17 = tmp_path / "k17.graph"
+    k17.write_text("".join(f"0 {i}\n" for i in range(1, 8)))
+    c4 = tmp_path / "c4.graph"
+    c4.write_text("0 1\n1 2\n2 3\n0 3\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(setgraceful.__file__).parents[1])}
+    cases = [
+        (0, ["search", str(star)]),
+        (1, ["search", str(c4)]),
+        (2, ["search", str(star), "--mode", "first",
+             "--emit", str(tmp_path / "missing" / "w.lab")]),
+        (3, ["search", str(k17), "--node-limit", "5"]),
+    ]
+    for expected, argv in cases:
+        proc = subprocess.run([sys.executable, "-m", "setgraceful.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == expected, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 """The backtracking engine against the oracle, plus its symmetry and limit contracts."""
 
+import time
+
 import pytest
 
 from setgraceful import (
@@ -198,6 +200,18 @@ def test_too_many_vertices_for_universe():
     assert outcome.m == 1
     assert outcome.count_raw == 0
     assert outcome.exhausted
+
+
+def test_more_vertices_than_labels_answers_without_search():
+    # The answer needs no per-vertex state, so ten million vertices cost nothing.
+    t0 = time.perf_counter()
+    outcome = search(Graph(10**7, ((0, 1),)))
+    assert time.perf_counter() - t0 < 1
+    assert outcome.m == 1
+    assert outcome.count_raw == 0
+    assert outcome.exhausted
+    assert outcome.nodes_explored == 0
+    assert outcome.reason is None
 
 
 def test_config_rejects_unknown_symmetry():
