@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from setgraceful.graph import Edge, Graph
-from setgraceful.labels import check_ground_size, format_label, parse_label
+from setgraceful.labels import check_ground_size, check_label, format_label, parse_label
 
 
 class LabelingParseError(ValueError):
@@ -61,7 +61,6 @@ class ValidationReport:
     violation witness; `valid` is the conjunction of all checks.
     """
 
-    range_ok: bool
     vertex_injective: bool
     vertex_witness: tuple[int, int] | None
     edge_injective: bool
@@ -103,55 +102,25 @@ def validate(g: Graph, f: Labeling) -> ValidationReport:
     each violation.  Witnesses are deterministic: the lexicographically
     smallest offending pair, edge, or missing label.
     """
-    values = f.values
-    limit = 1 << f.m
     labels = edge_labels(g, f)
-
-    range_ok = all(0 <= v < limit for v in values)
-
-    vertex_witness = _first_duplicate(values)
-    vertex_injective = vertex_witness is None
-
+    present = set(labels)
+    vertex_witness = _first_duplicate(f.values)
     dup = _first_duplicate(labels)
     edge_witness = (g.edges[dup[0]], g.edges[dup[1]]) if dup is not None else None
-    edge_injective = edge_witness is None
-
-    empty_edge: Edge | None = None
-    for idx, lab in enumerate(labels):
-        if lab == 0:
-            empty_edge = g.edges[idx]
-            break
-
-    # Distinct nonzero edge labels form a subset of the 2**m - 1 nonempty
-    # labels, so coverage is a count comparison; scan for a witness only on
-    # failure (the smallest missing label then sits within the first
-    # len(edges) + 2 candidates).
-    distinct_nonzero = set(labels) - {0}
-    covers_all_nonempty = len(distinct_nonzero) == limit - 1
-    missing_label: int | None = None
-    if not covers_all_nonempty:
-        for s in range(1, limit):
-            if s not in distinct_nonzero:
-                missing_label = s
-                break
-
-    valid = (
-        range_ok
-        and vertex_injective
-        and edge_injective
-        and covers_all_nonempty
-        and empty_edge is None
-    )
+    empty_edge = g.edges[labels.index(0)] if 0 in present else None
+    # The labels fill at most len(labels) of the candidates, so the scan
+    # stops within len(labels) + 2 steps unless every label is present.
+    missing_label = next((s for s in range(1, 1 << f.m) if s not in present), None)
     return ValidationReport(
-        range_ok=range_ok,
-        vertex_injective=vertex_injective,
+        vertex_injective=vertex_witness is None,
         vertex_witness=vertex_witness,
-        edge_injective=edge_injective,
+        edge_injective=edge_witness is None,
         edge_witness=edge_witness,
-        covers_all_nonempty=covers_all_nonempty,
+        covers_all_nonempty=missing_label is None,
         missing_label=missing_label,
         empty_edge=empty_edge,
-        valid=valid,
+        valid=(vertex_witness is None and edge_witness is None
+               and missing_label is None and empty_edge is None),
     )
 
 
@@ -161,8 +130,7 @@ def translate(f: Labeling, a: int) -> Labeling:
     Translation is a bijection of the label universe, so it preserves the
     set-graceful property (and its failure) exactly.
     """
-    if not 0 <= a < 1 << f.m:
-        raise ValueError(f"translation label {a} out of range for ground size m={f.m}")
+    check_label(a, f.m)
     return Labeling(f.m, tuple(v ^ a for v in f.values))
 
 
@@ -179,9 +147,7 @@ def edge_preimage(g: Graph, f: Labeling, s: int) -> Edge:
     A set-graceful labeling makes the edge map a bijection onto the nonempty
     labels, so every nonzero s has exactly one preimage edge.
     """
-    if not 0 <= s < 1 << f.m:
-        raise ValueError(f"label {s} out of range for ground size m={f.m}")
-    if s == 0:
+    if check_label(s, f.m) == 0:
         raise ValueError("empty label has no edge")
     if not validate(g, f).valid:
         raise ValueError("labeling is not set-graceful; edge labels are not a bijection")

@@ -24,6 +24,15 @@ def check_ground_size(m: int) -> int:
     return m
 
 
+def check_label(value: int, m: int) -> int:
+    """Return value unchanged, or raise ValueError if it is not a label for ground size m."""
+    if not 0 <= value < 1 << m:
+        raise ValueError(
+            f"label {value} out of range for ground size m={m} (must be < 2^{m} = {1 << m})"
+        )
+    return value
+
+
 def sym_diff(a: int, b: int) -> int:
     """Symmetric difference of two labels over a common ground size.
 
@@ -53,13 +62,7 @@ def parse_label(text: str, m: int) -> int:
             value = int(stripped, 10)
     except ValueError:
         raise ValueError(f"not a label literal: {text!r}") from None
-    if value < 0:
-        raise ValueError(f"label must be non-negative, got {value}")
-    if value >= 1 << m:
-        raise ValueError(
-            f"label {value} out of range for ground size m={m} (must be < 2^{m} = {1 << m})"
-        )
-    return value
+    return check_label(value, m)
 
 
 def format_label(value: int, m: int, style: str = "int") -> str:
@@ -70,10 +73,7 @@ def format_label(value: int, m: int, style: str = "int") -> str:
     ground elements of the subset, e.g. "{x0,x2}", with "{}" for the empty set.
     """
     check_ground_size(m)
-    if not 0 <= value < 1 << m:
-        raise ValueError(
-            f"label {value} out of range for ground size m={m} (must be < 2^{m} = {1 << m})"
-        )
+    check_label(value, m)
     if style == "int":
         return str(value)
     if style == "binary":

@@ -36,7 +36,7 @@ def brute_force_enumerate(g: Graph, m: int, cap: int = DEFAULT_CAP) -> list[Labe
     injective maps exceeds the cap.
     """
     check_ground_size(m)
-    size = math.perm(1 << m, g.n) if g.n <= 1 << m else 0
+    size = math.perm(1 << m, g.n)
     if size > cap:
         raise EnumerationCapError(size, cap)
     found = []

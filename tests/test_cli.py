@@ -90,6 +90,16 @@ def test_check_missing_vertex_exits_2(capsys, tmp_path, star_files):
     assert "4" in err  # graph has 4 vertices
 
 
+def test_check_vertex_count_mismatch_message(capsys, tmp_path, star_files):
+    gpath, _ = star_files
+    short = tmp_path / "short.lab"
+    short.write_text("m 2\n0 0\n1 1\n2 2\n")
+    code, out, err = run(capsys, "check", str(gpath), str(short))
+    assert code == 2
+    assert out == ""
+    assert err == "error: labeling covers 3 vertices, graph has 4\n"
+
+
 def test_check_parse_error_exits_2(capsys, tmp_path, star_files):
     gpath, _ = star_files
     bad = tmp_path / "syntax.lab"
@@ -106,6 +116,17 @@ def test_check_json(capsys, star_files):
     payload = json.loads(out)
     assert payload["valid"] is True
     assert payload["vertex_witness"] is None
+
+
+def test_check_json_keys(capsys, star_files):
+    gpath, lpath = star_files
+    code, out, _ = run(capsys, "check", str(gpath), str(lpath), "--json")
+    assert code == 0
+    assert out.count("\n") == 1  # one compact object
+    assert set(json.loads(out)) == {
+        "valid", "vertex_injective", "vertex_witness", "edge_injective", "edge_witness",
+        "covers_all_nonempty", "missing_label", "empty_edge", "m", "graph",
+    }
 
 
 def test_search_count_star(capsys, star_files):
@@ -316,3 +337,31 @@ def test_module_entry_point_exit_codes(tmp_path):
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == expected, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+# Runs argv[2:] with stdout to the file argv[1], then prints its exit code and
+# the peak RSS of its children.  A fresh, small parent keeps the reading clean:
+# Linux folds the pre-exec RSS of a forked child into ru_maxrss, so a child
+# spawned straight from the test process would inherit the test run's peak.
+_MEASURE_RSS = (
+    "import resource, subprocess, sys\n"
+    "with open(sys.argv[1], 'w') as out:\n"
+    "    code = subprocess.call(sys.argv[2:], stdout=out)\n"
+    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_search_all_json_peak_rss(tmp_path):
+    """`search --mode all --json` on K_{1,7} stays under 45 MB peak RSS."""
+    k17 = tmp_path / "k17.graph"
+    k17.write_text("".join(f"0 {i}\n" for i in range(1, 8)))
+    out_path = tmp_path / "out.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(setgraceful.__file__).parents[1])}
+    cli = [sys.executable, "-m", "setgraceful.cli", "search", str(k17), "--mode", "all", "--json"]
+    proc = subprocess.run([sys.executable, "-c", _MEASURE_RSS, str(out_path), *cli],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert len(json.loads(out_path.read_text())["witnesses"]) == 40320
+    assert maxrss_kib < 45 * 1024, f"peak RSS {maxrss_kib} KiB"

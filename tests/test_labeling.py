@@ -13,10 +13,12 @@ from setgraceful import (
     LabelingParseError,
     edge_labels,
     edge_preimage,
+    format_label,
     make_complete_bipartite,
     make_cycle,
     make_path,
     normalize_anchor,
+    parse_label,
     read_labeling,
     translate,
     validate,
@@ -101,7 +103,56 @@ def test_validate_reports_all_components():
     assert report.empty_edge == (0, 1)
     assert not report.covers_all_nonempty
     assert report.missing_label == 1
-    assert report.range_ok
+
+
+@given(small_graph_and_labeling())
+def test_validate_matches_definition(pair):
+    # Each component recomputed straight from its definition.
+    g, f = pair
+    labels = [f.values[u] ^ f.values[v] for u, v in g.edges]
+    vertex_pairs = [
+        (i, j) for i, j in itertools.combinations(range(g.n), 2) if f.values[i] == f.values[j]
+    ]
+    edge_pairs = [
+        (g.edges[i], g.edges[j])
+        for i, j in itertools.combinations(range(len(labels)), 2)
+        if labels[i] == labels[j]
+    ]
+    empty_edges = [e for e, lab in zip(g.edges, labels) if lab == 0]
+    missing = set(range(1, 1 << f.m)) - set(labels)
+
+    report = validate(g, f)
+    assert report.vertex_witness == (vertex_pairs[0] if vertex_pairs else None)
+    assert report.vertex_injective == (not vertex_pairs)
+    assert report.edge_witness == (edge_pairs[0] if edge_pairs else None)
+    assert report.edge_injective == (not edge_pairs)
+    assert report.empty_edge == (empty_edges[0] if empty_edges else None)
+    assert report.missing_label == min(missing, default=None)
+    assert report.covers_all_nonempty == (not missing)
+    assert report.valid == (not vertex_pairs and not edge_pairs and not empty_edges and not missing)
+
+
+STAR = make_complete_bipartite(1, 3)
+STAR_LABELING = Labeling(2, (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: parse_label(str(s), 2),
+    lambda s: format_label(s, 2),
+    lambda s: translate(STAR_LABELING, s),
+    lambda s: edge_preimage(STAR, STAR_LABELING, s),
+], ids=["parse_label", "format_label", "translate", "edge_preimage"])
+def test_label_range_boundaries(call):
+    # m = 2: labels run from 0 to 3; -1 and 4 fall outside on either side.
+    for s in (-1, 4):
+        with pytest.raises(ValueError, match=f"label {s} out of range for ground size m=2"):
+            call(s)
+    call(3)
+    try:
+        call(0)
+    except ValueError as exc:
+        # 0 is in range; only edge_preimage refuses it, as the empty label.
+        assert str(exc) == "empty label has no edge"
 
 
 def test_validate_wrong_size_fails_by_counting():
