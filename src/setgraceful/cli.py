@@ -246,10 +246,15 @@ def cmd_theorem(args: argparse.Namespace) -> int:
     target = (1 << m) - 1
     pairs = [(d, target // d) for d in _divisors(target)]
     run_exhaustive = m <= args.exhaustive_up_to
+    try:
+        cfg = SearchConfig(mode="first", node_limit=args.node_limit)
+    except ValueError as exc:
+        return _fail(str(exc))
 
     records = []
     traces: list[ProofTrace | None] = []
     all_agree = True
+    disagreed = False
     for p, q in pairs:
         decision = star_theorem_decision(p, q)
         trace: ProofTrace | None = None
@@ -266,10 +271,12 @@ def cmd_theorem(args: argparse.Namespace) -> int:
         if run_exhaustive:
             # First mode walks the count-mode tree until a witness, so it
             # exhausts a non-star exactly as count mode would and stops a
-            # star at its first labeling.
-            outcome = search(make_complete_bipartite(p, q), SearchConfig(mode="first"))
+            # star at its first labeling.  A pair the node limit stops is
+            # neither confirmed nor contradicted: it does not agree.
+            outcome = search(make_complete_bipartite(p, q), cfg)
             agrees = outcome.exhausted and (outcome.count_raw > 0) == (decision.kind == STAR_ADMITS)
             all_agree = all_agree and agrees
+            disagreed = disagreed or (outcome.exhausted and not agrees)
             record["confirm"] = {
                 "mode": "first",
                 "count_raw": outcome.count_raw,
@@ -278,11 +285,12 @@ def cmd_theorem(args: argparse.Namespace) -> int:
             }
         records.append(record)
 
+    code = EXIT_OK if all_agree else EXIT_NEGATIVE if disagreed else EXIT_LIMIT
     if args.json:
         payload = {"m": m, "pairs": records, "all_agree": all_agree,
                    "exhaustive": run_exhaustive}
         print(json.dumps(payload, sort_keys=True))
-        return EXIT_OK if all_agree else EXIT_NEGATIVE
+        return code
 
     print(f"theorem harness: m={m}, |X|={1 << m}, feasible edge count 2^{m} - 1 = {target}")
     print(f"factor pairs of {target}: " + " ".join(f"({p},{q})" for p, q in pairs))
@@ -297,17 +305,20 @@ def cmd_theorem(args: argparse.Namespace) -> int:
         if confirm is None:
             print(f"  confirm: skipped (m above exhaustive cutoff {args.exhaustive_up_to})")
         else:
-            verdict = "agrees" if confirm["agrees"] else "DISAGREES"
+            verdict = ("agrees" if confirm["agrees"]
+                       else "DISAGREES" if confirm["exhausted"] else "undecided (node limit)")
             print(
                 f"  confirm: mode={confirm['mode']} count_raw={confirm['count_raw']} "
                 f"exhausted={'yes' if confirm['exhausted'] else 'no'}, {verdict}"
             )
     print()
-    if run_exhaustive:
-        print(f"all pairs agree: {'yes' if all_agree else 'NO'}")
-    else:
+    if not run_exhaustive:
         print("all pairs agree: not checked (decisions and traces only)")
-    return EXIT_OK if all_agree else EXIT_NEGATIVE
+    elif code == EXIT_LIMIT:
+        print("all pairs agree: undecided (node limit)")
+    else:
+        print(f"all pairs agree: {'yes' if all_agree else 'NO'}")
+    return code
 
 
 # ---------------------------------------------------------------- driver
@@ -349,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--m", type=int, required=True, dest="m")
     p_thm.add_argument("--exhaustive-up-to", type=int, default=4,
                        help="run exhaustive confirmation when m is at most this (default 4)")
+    p_thm.add_argument("--node-limit", type=int, default=None,
+                       help="stop each confirming search after this many nodes (exit 3 if one stops)")
     p_thm.add_argument("--json", action="store_true")
     p_thm.set_defaults(func=cmd_theorem)
     return parser

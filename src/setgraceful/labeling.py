@@ -1,4 +1,4 @@
-"""Vertex labelings, induced edge labels, and the set-graceful validator.
+"""Vertex labelings, induced edge labels, the set-graceful predicate and validator.
 
 A labeling assigns each vertex a label (a subset of the ground set, encoded
 as an integer below 2**m).  Each edge uv then carries the symmetric
@@ -14,7 +14,7 @@ Vertices 0..n-1 must each appear exactly once; ``#`` starts a comment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from setgraceful.graph import Edge, Graph
 from setgraceful.labels import check_ground_size, check_label, format_label, parse_label
@@ -77,6 +77,33 @@ def edge_labels(g: Graph, f: Labeling) -> list[int]:
         raise ValueError(f"labeling covers {len(f.values)} vertices, graph has {g.n}")
     values = f.values
     return [values[u] ^ values[v] for u, v in g.edges]
+
+
+def is_set_graceful(g: Graph, m: int, values: Sequence[int]) -> bool:
+    """The set-graceful predicate alone, on a plain sequence of labels.
+
+    True exactly when the n labels lie in range(2**m), are pairwise
+    distinct, and their edge labels hit every nonempty subset exactly once.
+    No `Labeling` or witness is built, so a caller that only needs the
+    verdict pays for nothing else; `validate(g, Labeling(m, values)).valid`
+    gives the same answer on in-range labels.
+    """
+    if len(values) != g.n:
+        raise ValueError(f"labeling covers {len(values)} vertices, graph has {g.n}")
+    universe = 1 << check_ground_size(m)
+    for value in values:
+        if not 0 <= value < universe:
+            return False
+    if len(set(values)) != len(values):
+        return False
+    # One bit per edge label; a bit met twice is a repeated edge label.
+    seen = 0
+    for u, v in g.edges:
+        bit = 1 << (values[u] ^ values[v])
+        if seen & bit:
+            return False
+        seen |= bit
+    return seen == (1 << universe) - 2
 
 
 def _first_duplicate(items: Iterable[int]) -> tuple[int, int] | None:
@@ -149,7 +176,7 @@ def edge_preimage(g: Graph, f: Labeling, s: int) -> Edge:
     """
     if check_label(s, f.m) == 0:
         raise ValueError("empty label has no edge")
-    if not validate(g, f).valid:
+    if not is_set_graceful(g, f.m, f.values):
         raise ValueError("labeling is not set-graceful; edge labels are not a bijection")
     return g.edges[edge_labels(g, f).index(s)]
 

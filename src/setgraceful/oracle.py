@@ -1,8 +1,9 @@
 """Brute-force enumeration oracle for cross-validating the search engine.
 
 Generate-and-test over every injective label assignment, in lexicographic
-order, filtered by the validator.  Deliberately shares no pruning logic or
-state with the backtracking searcher; agreement between the two is the
+order, each tested with the plain set-graceful predicate.  Deliberately
+shares no pruning logic or state with the backtracking searcher (it imports
+nothing from `search` or `conditions`); agreement between the two is the
 central cross-check of this repository.
 """
 
@@ -12,7 +13,7 @@ import itertools
 import math
 
 from setgraceful.graph import Graph
-from setgraceful.labeling import Labeling, validate
+from setgraceful.labeling import Labeling, is_set_graceful
 from setgraceful.labels import check_ground_size
 
 DEFAULT_CAP = 10_000_000
@@ -30,10 +31,11 @@ class EnumerationCapError(RuntimeError):
 def brute_force_enumerate(g: Graph, m: int, cap: int = DEFAULT_CAP) -> list[Labeling]:
     """All set-graceful labelings of g over ground size m, in lexicographic order.
 
-    Enumerates every injective map from vertices to labels and keeps the ones
-    the validator accepts.  An m inconsistent with the edge count is allowed
-    and simply yields an empty list.  Refuses to run when the number of
-    injective maps exceeds the cap.
+    Enumerates every injective map from vertices to labels, tests each with
+    `is_set_graceful`, and builds a `Labeling` only for the ones it accepts.
+    An m inconsistent with the edge count is allowed and simply yields an
+    empty list.  Refuses to run when the number of injective maps exceeds
+    the cap.
     """
     check_ground_size(m)
     size = math.perm(1 << m, g.n)
@@ -41,7 +43,6 @@ def brute_force_enumerate(g: Graph, m: int, cap: int = DEFAULT_CAP) -> list[Labe
         raise EnumerationCapError(size, cap)
     found = []
     for assignment in itertools.permutations(range(1 << m), g.n):
-        candidate = Labeling(m, assignment)
-        if validate(g, candidate).valid:
-            found.append(candidate)
+        if is_set_graceful(g, m, assignment):
+            found.append(Labeling(m, assignment))
     return found

@@ -11,6 +11,7 @@ import pytest
 import setgraceful
 from setgraceful.cli import main
 from setgraceful.conditions import proof_trace
+from setgraceful.search import SearchOutcome
 
 
 def run(capsys, *argv):
@@ -271,6 +272,58 @@ def test_theorem_m5_exhaustive(capsys):
     assert "factor pairs of 31: (1,31) (31,1)" in out
     assert out.count(", agrees") == 2
     assert "all pairs agree: yes" in out
+
+
+def test_theorem_node_limit_leaves_pairs_undecided(capsys):
+    code, out, _ = run(capsys, "theorem", "--m", "4", "--node-limit", "10")
+    assert code == 3
+    assert out.count("exhausted=no, undecided (node limit)") == 4
+    assert "all pairs agree: undecided (node limit)" in out
+    # A limit no confirming search reaches changes nothing.
+    code, limited, _ = run(capsys, "theorem", "--m", "4", "--node-limit", "1000000")
+    assert code == 0
+    assert limited == run(capsys, "theorem", "--m", "4")[1]
+    code, _, err = run(capsys, "theorem", "--m", "4", "--node-limit", "0")
+    assert code == 2
+    assert "node_limit must be positive" in err
+
+
+def test_theorem_disagreement_outranks_node_limit(capsys, monkeypatch):
+    # K_{1,3} comes back exhausted with no labeling, a disagreement, and
+    # K_{3,1} comes back stopped by the limit: the run is negative, not limited.
+    outcomes = iter([
+        SearchOutcome(m=2, count_raw=0, count_anchored=0, witnesses=(),
+                      nodes_explored=5, exhausted=True),
+        SearchOutcome(m=2, count_raw=0, count_anchored=0, witnesses=(),
+                      nodes_explored=5, exhausted=False),
+    ])
+    monkeypatch.setattr("setgraceful.cli.search", lambda g, cfg: next(outcomes))
+    code, out, _ = run(capsys, "theorem", "--m", "2", "--node-limit", "5")
+    assert code == 1
+    assert "exhausted=yes, DISAGREES" in out
+    assert "exhausted=no, undecided (node limit)" in out
+    assert "all pairs agree: NO" in out
+
+
+def test_theorem_m6_node_limit_exits_3():
+    """`theorem --m 6 --exhaustive-up-to 6` has no end unless a node limit stops
+    K_{3,21} and K_{7,9}; with one it exits 3 in moments, with no traceback."""
+    env = {**os.environ, "PYTHONPATH": str(Path(setgraceful.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "setgraceful.cli", "theorem", "--m", "6",
+         "--exhaustive-up-to", "6", "--node-limit", "20000", "--json"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["all_agree"] is False
+    confirms = {(rec["p"], rec["q"]): rec["confirm"] for rec in payload["pairs"]}
+    for star in ((1, 63), (63, 1)):
+        assert confirms[star]["exhausted"] and confirms[star]["agrees"]
+    for pair in ((3, 21), (7, 9), (9, 7), (21, 3)):
+        assert confirms[pair] == {"mode": "first", "count_raw": 0,
+                                  "exhausted": False, "agrees": False}
 
 
 def test_theorem_m6_traces_without_search(capsys):

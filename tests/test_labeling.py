@@ -14,6 +14,7 @@ from setgraceful import (
     edge_labels,
     edge_preimage,
     format_label,
+    is_set_graceful,
     make_complete_bipartite,
     make_cycle,
     make_path,
@@ -134,6 +135,63 @@ def test_validate_matches_definition(pair):
 
 STAR = make_complete_bipartite(1, 3)
 STAR_LABELING = Labeling(2, (0, 1, 2, 3))
+
+
+@st.composite
+def predicate_cases(draw):
+    """(graph, m, labels) with m <= 3 and n <= 7, half of them near-valid.
+
+    Arbitrary cases repeat labels and pick any edge set.  Near-valid cases
+    take distinct labels and one edge per nonzero label wherever some vertex
+    pair induces it, then may add or drop an edge, so valid labelings and
+    the edge counts around 2**m - 1 both come up often.
+    """
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n))
+        edges = [e for e in pairs if draw(st.booleans())]
+    else:
+        values = draw(st.permutations(range(1 << m)))[:n]
+        pairs = list(itertools.combinations(range(len(values)), 2))
+        edges = []
+        for s in range(1, 1 << m):
+            inducing = [(u, v) for u, v in pairs if values[u] ^ values[v] == s]
+            if inducing:
+                edges.append(draw(st.sampled_from(inducing)))
+        spare = [e for e in pairs if e not in edges]
+        change = draw(st.sampled_from(("keep", "keep", "add", "drop")))
+        if change == "add" and spare:
+            edges.append(draw(st.sampled_from(spare)))
+        elif change == "drop" and edges:
+            edges.remove(draw(st.sampled_from(edges)))
+    return Graph(len(values), tuple(edges)), m, tuple(values)
+
+
+@given(predicate_cases())
+def test_is_set_graceful_matches_validate(case):
+    g, m, values = case
+    expected = validate(g, Labeling(m, values)).valid
+    assert is_set_graceful(g, m, values) == expected
+    assert is_set_graceful(g, m, list(values)) == expected
+
+
+def test_is_set_graceful_edge_cases():
+    assert is_set_graceful(K2, 1, (0, 1))
+    assert is_set_graceful(STAR, 2, (0, 1, 2, 3))
+    assert is_set_graceful(Graph(0, ()), 0, ())
+    assert is_set_graceful(Graph(1, ()), 0, (0,))
+    assert not is_set_graceful(Graph(0, ()), 2, ())
+    # Repeated vertex labels, and the wrong edge count for m.
+    assert not is_set_graceful(K2, 1, (1, 1))
+    assert not is_set_graceful(make_path(4), 3, (0, 1, 3, 7))
+    # Out of range: (4, 5) has the one edge label 1, so an XOR-only test
+    # would accept it at m = 1, where the labels are 0 and 1.
+    assert not is_set_graceful(K2, 1, (4, 5))
+    assert not is_set_graceful(K2, 1, (-1, 0))
+    with pytest.raises(ValueError, match="labeling covers 3 vertices, graph has 2"):
+        is_set_graceful(K2, 1, (0, 1, 0))
 
 
 @pytest.mark.parametrize("call", [

@@ -1,9 +1,15 @@
 """The brute-force enumerator is the reference the searcher is judged against."""
 
+import ast
+import itertools
+import random
+from pathlib import Path
+
 import pytest
 
 from setgraceful import (
     EnumerationCapError,
+    Graph,
     Labeling,
     brute_force_enumerate,
     make_complete_bipartite,
@@ -48,10 +54,93 @@ def test_cap_refusal_reports_size():
 
 def test_omitted_assignments_really_fail():
     # Spot-check: re-filtering all injective maps finds exactly the survivors.
-    import itertools
-
     g = make_cycle(3)
     survivors = {f.values for f in brute_force_enumerate(g, 2)}
     for assignment in itertools.permutations(range(4), 3):
         ok = validate(g, Labeling(2, assignment)).valid
         assert ok == (assignment in survivors)
+
+
+def validator_filtered(g, m):
+    """The oracle as it was first written: every assignment through validate."""
+    found = []
+    for assignment in itertools.permutations(range(1 << m), g.n):
+        candidate = Labeling(m, assignment)
+        if validate(g, candidate).valid:
+            found.append(candidate)
+    return found
+
+
+def every_small_graph():
+    """(graph, m) for every simple graph on at most 2**m vertices, m <= 2."""
+    for m in range(3):
+        for n in range((1 << m) + 1):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                yield Graph(n, tuple(e for i, e in enumerate(pairs) if bits >> i & 1)), m
+
+
+def test_oracle_matches_validator_filter_on_every_small_graph():
+    cases = list(every_small_graph())
+    # Graphs on 0..2**m vertices: 2 for m = 0, 4 for m = 1, 76 for m = 2.
+    assert len(cases) == 2 + 4 + 76
+    hits = 0
+    for g, m in cases:
+        found = brute_force_enumerate(g, m)
+        assert found == validator_filtered(g, m), (g, m)
+        hits += len(found)
+    assert hits > 0
+
+
+def test_oracle_matches_validator_filter_on_random_m3_graphs():
+    rng = random.Random(5)
+    hits = 0
+    for n, edges in ((5, 7), (6, 7), (7, 7), (8, 7), (6, 6)):
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, tuple(rng.sample(pairs, edges)))
+        found = brute_force_enumerate(g, 3)
+        assert found == validator_filtered(g, 3), g
+        hits += len(found)
+    assert hits > 0
+
+
+def test_oracle_builds_labelings_only_for_hits(monkeypatch):
+    # A deterministic stand-in for a time bound: P_8 has no labeling, so
+    # none of its 40,320 assignments may cost a Labeling.
+    built = []
+
+    def counting(m, values):
+        built.append(values)
+        return Labeling(m, values)
+
+    monkeypatch.setattr("setgraceful.oracle.Labeling", counting)
+    assert brute_force_enumerate(make_path(8), 3) == []
+    assert built == []
+    assert len(brute_force_enumerate(make_complete_bipartite(1, 3), 2)) == len(built) == 24
+
+
+def _package_imports(module: str) -> set[str]:
+    """The setgraceful modules that one package module imports, by name."""
+    path = Path(__file__).parent.parent / "src" / "setgraceful" / f"{module}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+            if node.module == "setgraceful":
+                found.update(f"setgraceful.{alias.name}" for alias in node.names)
+    return {name for name in found if name.startswith("setgraceful.")}
+
+
+def test_oracle_imports_nothing_from_search_or_conditions():
+    # Followed through the modules the oracle imports, so nothing reaches the
+    # searcher's code indirectly either.
+    seen, todo = set(), ["setgraceful.oracle"]
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo.extend(_package_imports(module.split(".", 1)[1]))
+    assert "setgraceful.labeling" in seen
+    assert not seen & {"setgraceful.search", "setgraceful.conditions"}
