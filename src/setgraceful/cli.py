@@ -2,15 +2,16 @@
 
 Exit codes: 0 success (valid / found / all confirmations agree),
 1 checked-and-negative (invalid labeling, nothing found, disagreement),
-2 usage or input error, 3 resource limit hit.
+2 usage or input error (a closed standard output included),
+3 resource limit hit or interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from setgraceful.conditions import (
@@ -47,6 +48,11 @@ EXIT_LIMIT = 3
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _fields(record) -> dict:
+    """A record's fields by name, as the JSON output prints them."""
+    return {name: getattr(record, name) for name in record.__slots__}
 
 
 def _graph_desc(g: Graph) -> str:
@@ -103,7 +109,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (OSError, GraphParseError, LabelingParseError, ValueError) as exc:
         return _fail(str(exc))
     if args.json:
-        payload = asdict(report)
+        payload = _fields(report)
         payload["graph"] = {"n": g.n, "edges": list(g.edges)}
         payload["m"] = f.m
         print(json.dumps(payload, sort_keys=True))
@@ -258,14 +264,16 @@ def cmd_theorem(args: argparse.Namespace) -> int:
     for p, q in pairs:
         decision = star_theorem_decision(p, q)
         trace: ProofTrace | None = None
+        trace_payload = None
         if decision.kind == NON_STAR_IMPOSSIBLE:
             trace = proof_trace(p, q)
+            trace_payload = {**_fields(trace), "steps": [_fields(s) for s in trace.steps]}
         traces.append(trace)
         record: dict = {
             "p": p,
             "q": q,
             "decision": {"kind": decision.kind, "m": decision.m},
-            "trace": asdict(trace) if trace else None,
+            "trace": trace_payload,
             "confirm": None,
         }
         if run_exhaustive:
@@ -368,9 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        # Flush here, so a closed stdout fails inside the handler below
+        # rather than at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # Point stdout at the null device, so the exit-time flush of what is
+        # still buffered cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(f"standard output closed: {exc}")
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

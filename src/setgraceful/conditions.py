@@ -10,12 +10,12 @@ concrete non-star (p, q) as a checkable list of steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from setgraceful.graph import Graph, make_complete_bipartite
 from setgraceful.labeling import Labeling
 from setgraceful.labels import check_ground_size
+from setgraceful.record import Record, set_field
 
 STAR_ADMITS = "star-admits"
 NON_STAR_IMPOSSIBLE = "non-star-impossible"
@@ -26,41 +26,54 @@ class TraceNotApplicableError(ValueError):
     """Raised when a proof trace is requested for a star pair."""
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(Record):
     """Whether |E| + 1 is a power of two; m is present exactly when it is."""
 
-    feasible: bool
-    m: int | None
+    __slots__ = ("feasible", "m")
+
+    def __init__(self, feasible: bool, m: int | None) -> None:
+        set_field(self, "feasible", feasible)
+        set_field(self, "m", m)
 
 
-@dataclass(frozen=True)
-class StarDecision:
+class StarDecision(Record):
     """Outcome of the complete-bipartite decision for side sizes (p, q)."""
 
-    kind: str
-    m: int | None
+    __slots__ = ("kind", "m")
+
+    def __init__(self, kind: str, m: int | None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "m", m)
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    kind: str
-    numbers: dict[str, int]
-    conclusion: str
+class ProofStep(Record):
+    """One step of a proof trace: its kind, the numbers it uses, its conclusion.
+
+    The numbers are a dict, so a step (and a trace) is unhashable.
+    """
+
+    __slots__ = ("kind", "numbers", "conclusion")
+
+    def __init__(self, kind: str, numbers: dict[str, int], conclusion: str) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "numbers", numbers)
+        set_field(self, "conclusion", conclusion)
 
     def recheck(self) -> bool:
         """Re-evaluate the step's numeric claim from its recorded numbers."""
         return _RECHECKS[self.kind](self.numbers)
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(Record):
     """The instantiated contradiction for a non-star K_{p,q}, step by step."""
 
-    p: int
-    q: int
-    m: int
-    steps: tuple[ProofStep, ...]
+    __slots__ = ("p", "q", "m", "steps")
+
+    def __init__(self, p: int, q: int, m: int, steps: tuple[ProofStep, ...]) -> None:
+        set_field(self, "p", p)
+        set_field(self, "q", q)
+        set_field(self, "m", m)
+        set_field(self, "steps", steps)
 
     def render(self) -> str:
         """One numbered line per step, stable wording."""

@@ -12,8 +12,9 @@ isolated vertices require the header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import IO, Iterable
+
+from setgraceful.record import Record, set_field
 
 Edge = tuple[int, int]
 
@@ -26,31 +27,36 @@ class GraphParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class Graph:
-    """A finite simple graph (no loops, no duplicate edges)."""
+class Graph(Record):
+    """A finite simple graph (no loops, no duplicate edges).
 
-    n: int
-    edges: tuple[Edge, ...]
-    name: str | None = field(default=None, compare=False)
+    Equality and hashing read n and the canonical edges, not the name.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {self.n}")
+    __slots__ = ("n", "edges", "name")
+
+    def __init__(self, n: int, edges: Iterable[Edge], name: str | None = None) -> None:
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
         canonical = []
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u} (graph must be simple)")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{self.n - 1}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
             e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise ValueError(f"duplicate edge ({e[0]},{e[1]}) (graph must be simple)")
             seen.add(e)
             canonical.append(e)
         canonical.sort()
-        object.__setattr__(self, "edges", tuple(canonical))
+        set_field(self, "n", n)
+        set_field(self, "edges", tuple(canonical))
+        set_field(self, "name", name)
+
+    def _key(self) -> tuple:
+        return self.n, self.edges
 
     def adjacency(self) -> list[list[int]]:
         """Sorted neighbor lists, rebuilt per call."""
@@ -70,12 +76,14 @@ class Graph:
         return deg
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(Record):
     """The two sides of a complete bipartite graph; p_side contains vertex 0."""
 
-    p_side: frozenset[int]
-    q_side: frozenset[int]
+    __slots__ = ("p_side", "q_side")
+
+    def __init__(self, p_side: frozenset[int], q_side: frozenset[int]) -> None:
+        set_field(self, "p_side", p_side)
+        set_field(self, "q_side", q_side)
 
 
 def make_complete_bipartite(p: int, q: int) -> Graph:

@@ -13,11 +13,11 @@ Vertices 0..n-1 must each appear exactly once; ``#`` starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from setgraceful.graph import Edge, Graph
 from setgraceful.labels import check_ground_size, check_label, format_label, parse_label
+from setgraceful.record import Record, set_field
 
 
 class LabelingParseError(ValueError):
@@ -28,47 +28,62 @@ class LabelingParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(Record):
     """A vertex-indexed assignment of labels over ground size m.
 
     Entries must lie below 2**m; whether the assignment is set-graceful is
     not an invariant of the type and is checked by `validate`.
     """
 
-    m: int
-    values: tuple[int, ...]
+    __slots__ = ("m", "values")
 
-    def __post_init__(self) -> None:
-        check_ground_size(self.m)
-        object.__setattr__(self, "values", tuple(self.values))
-        limit = 1 << self.m
-        for v, value in enumerate(self.values):
+    def __init__(self, m: int, values: Iterable[int]) -> None:
+        check_ground_size(m)
+        values = tuple(values)
+        limit = 1 << m
+        for v, value in enumerate(values):
             if not 0 <= value < limit:
                 raise ValueError(
-                    f"label {value} at vertex {v} out of range for ground size m={self.m}"
+                    f"label {value} at vertex {v} out of range for ground size m={m}"
                 )
+        set_field(self, "m", m)
+        set_field(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Structured verdict of the set-graceful predicate.
 
     Each component check carries its first (lexicographically smallest)
     violation witness; `valid` is the conjunction of all checks.
     """
 
-    vertex_injective: bool
-    vertex_witness: tuple[int, int] | None
-    edge_injective: bool
-    edge_witness: tuple[Edge, Edge] | None
-    covers_all_nonempty: bool
-    missing_label: int | None
-    empty_edge: Edge | None
-    valid: bool
+    __slots__ = (
+        "vertex_injective", "vertex_witness", "edge_injective", "edge_witness",
+        "covers_all_nonempty", "missing_label", "empty_edge", "valid",
+    )
+
+    def __init__(
+        self,
+        vertex_injective: bool,
+        vertex_witness: tuple[int, int] | None,
+        edge_injective: bool,
+        edge_witness: tuple[Edge, Edge] | None,
+        covers_all_nonempty: bool,
+        missing_label: int | None,
+        empty_edge: Edge | None,
+        valid: bool,
+    ) -> None:
+        set_field(self, "vertex_injective", vertex_injective)
+        set_field(self, "vertex_witness", vertex_witness)
+        set_field(self, "edge_injective", edge_injective)
+        set_field(self, "edge_witness", edge_witness)
+        set_field(self, "covers_all_nonempty", covers_all_nonempty)
+        set_field(self, "missing_label", missing_label)
+        set_field(self, "empty_edge", empty_edge)
+        set_field(self, "valid", valid)
 
 
 def edge_labels(g: Graph, f: Labeling) -> list[int]:

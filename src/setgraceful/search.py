@@ -40,34 +40,34 @@ always yield the same outcome, node count included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from setgraceful.conditions import feasible_ground_size
 from setgraceful.graph import Graph
 from setgraceful.labeling import Labeling
 from setgraceful.labels import check_ground_size
+from setgraceful.record import Record, set_field
 
 MODES = ("first", "count", "all")
 SYMMETRIES = ("affine", "translation", "none")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    mode: str = "count"
-    symmetry: str = "affine"
-    node_limit: int | None = None
+class SearchConfig(Record):
+    __slots__ = ("mode", "symmetry", "node_limit")
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.symmetry not in SYMMETRIES:
-            raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {self.symmetry!r}")
-        if self.node_limit is not None and self.node_limit <= 0:
-            raise ValueError(f"node_limit must be positive, got {self.node_limit}")
+    def __init__(
+        self, mode: str = "count", symmetry: str = "affine", node_limit: int | None = None
+    ) -> None:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if symmetry not in SYMMETRIES:
+            raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
+        if node_limit is not None and node_limit <= 0:
+            raise ValueError(f"node_limit must be positive, got {node_limit}")
+        set_field(self, "mode", mode)
+        set_field(self, "symmetry", symmetry)
+        set_field(self, "node_limit", node_limit)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """Result of a search run.
 
     Counts are exact when the whole tree was explored; a node-limited run
@@ -82,13 +82,27 @@ class SearchOutcome:
     recorded.
     """
 
-    m: int | None
-    count_raw: int
-    count_anchored: int
-    witnesses: tuple[Labeling, ...]
-    nodes_explored: int
-    exhausted: bool
-    reason: str | None = field(default=None)
+    __slots__ = (
+        "m", "count_raw", "count_anchored", "witnesses", "nodes_explored", "exhausted", "reason",
+    )
+
+    def __init__(
+        self,
+        m: int | None,
+        count_raw: int,
+        count_anchored: int,
+        witnesses: tuple[Labeling, ...],
+        nodes_explored: int,
+        exhausted: bool,
+        reason: str | None = None,
+    ) -> None:
+        set_field(self, "m", m)
+        set_field(self, "count_raw", count_raw)
+        set_field(self, "count_anchored", count_anchored)
+        set_field(self, "witnesses", witnesses)
+        set_field(self, "nodes_explored", nodes_explored)
+        set_field(self, "exhausted", exhausted)
+        set_field(self, "reason", reason)
 
 
 def vertex_order(g: Graph) -> list[int]:

@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -390,6 +392,58 @@ def test_module_entry_point_exit_codes(tmp_path):
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == expected, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_2(tmp_path):
+    """A reader that closes the pipe early is an output error, not a negative answer."""
+    k17 = tmp_path / "k17.graph"
+    k17.write_text("".join(f"0 {i}\n" for i in range(1, 8)))
+    env = {**os.environ, "PYTHONPATH": str(Path(setgraceful.__file__).parents[1])}
+    for argv in (["search", str(k17), "--mode", "all", "--json"],
+                 ["gen", "--type", "cycle", "--n", "100000"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run([sys.executable, "-m", "setgraceful.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+# Restores the default SIGINT handler (a parent may pass SIGINT on as ignored),
+# says when main is about to run, then runs it on argv[1:].
+_INTERRUPTIBLE = (
+    "import signal, sys\n"
+    "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+    "from setgraceful.cli import main\n"
+    "print('ready', flush=True)\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def test_sigint_exits_3_without_traceback(tmp_path):
+    c31 = tmp_path / "c31.graph"
+    c31.write_text("".join(f"{i} {(i + 1) % 31}\n" for i in range(31)))
+    env = {**os.environ, "PYTHONPATH": str(Path(setgraceful.__file__).parents[1])}
+    # Counting C_31 runs far longer than the test waits.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTIBLE, "search", str(c31), "--mode", "count"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 3
+    assert err == "interrupted\n"
+    assert out == ""
 
 
 # Runs argv[2:] with stdout to the file argv[1], then prints its exit code and

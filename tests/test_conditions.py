@@ -1,6 +1,5 @@
 """Feasibility, the star decision, the constructive witness, and proof traces."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +9,7 @@ from setgraceful import (
     NON_STAR_IMPOSSIBLE,
     STAR_ADMITS,
     Graph,
+    ProofStep,
     SearchConfig,
     TraceNotApplicableError,
     construct_star_labeling,
@@ -168,9 +168,13 @@ def test_trace_arithmetic_rechecks_through_m10():
 
 def test_trace_recheck_rejects_tampered_numbers():
     steps = {s.kind: s for s in proof_trace(3, 5).steps}
+
+    def tampered(step, **numbers):
+        return ProofStep(step.kind, {**step.numbers, **numbers}, step.conclusion)
+
     even = steps["EvenSide"]
-    assert not replace(even, numbers={**even.numbers, "p": 4}).recheck()
+    assert not tampered(even, p=4).recheck()
     # An even side whose product still matches the edge count fails on parity alone.
-    assert not replace(even, numbers={**even.numbers, "p": 2, "q": 7, "universe": 15}).recheck()
+    assert not tampered(even, p=2, q=7, universe=15).recheck()
     pairing = steps["InvolutionPairing"]
-    assert not replace(pairing, numbers={**pairing.numbers, "p": 1}).recheck()
+    assert not tampered(pairing, p=1).recheck()

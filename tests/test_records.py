@@ -1,0 +1,131 @@
+"""Value semantics of the result types: construction, equality, hashing,
+immutability, repr, and the constructors' validation messages."""
+
+import copy
+import pickle
+
+import pytest
+
+from setgraceful import (
+    Bipartition,
+    FeasibilityVerdict,
+    Graph,
+    Labeling,
+    ProofStep,
+    ProofTrace,
+    SearchConfig,
+    SearchOutcome,
+    StarDecision,
+    ValidationReport,
+)
+
+K2 = ((0, 1),)
+REPORT_FIELDS = (True, None, True, None, True, None, None, True)
+STEP = ("NonStarProduct", {"p": 3, "q": 5, "product": 8}, "8 > 0")
+
+# (type, arguments, arguments giving a different value, repr of the first).
+CASES = [
+    (Graph, (2, K2), (3, K2), "Graph(n=2, edges=((0, 1),), name=None)"),
+    (Bipartition, (frozenset({0}), frozenset({1, 2})), (frozenset({1}), frozenset({0, 2})),
+     "Bipartition(p_side=frozenset({0}), q_side=frozenset({1, 2}))"),
+    (Labeling, (2, (0, 1, 2)), (2, (0, 1, 3)), "Labeling(m=2, values=(0, 1, 2))"),
+    (ValidationReport, REPORT_FIELDS, (False, (0, 1)) + REPORT_FIELDS[2:],
+     "ValidationReport(vertex_injective=True, vertex_witness=None, edge_injective=True, "
+     "edge_witness=None, covers_all_nonempty=True, missing_label=None, empty_edge=None, "
+     "valid=True)"),
+    (FeasibilityVerdict, (True, 3), (False, None), "FeasibilityVerdict(feasible=True, m=3)"),
+    (StarDecision, ("star-admits", 3), ("non-star-impossible", 3),
+     "StarDecision(kind='star-admits', m=3)"),
+    (ProofStep, STEP, ("EmptyExcluded",) + STEP[1:],
+     "ProofStep(kind='NonStarProduct', numbers={'p': 3, 'q': 5, 'product': 8}, "
+     "conclusion='8 > 0')"),
+    (ProofTrace, (3, 5, 4, ()), (5, 3, 4, ()), "ProofTrace(p=3, q=5, m=4, steps=())"),
+    (SearchConfig, ("first", "none", 10), ("all", "none", 10),
+     "SearchConfig(mode='first', symmetry='none', node_limit=10)"),
+    (SearchOutcome, (3, 8, 1, (), 5, True, None), (3, 8, 1, (), 6, True, None),
+     "SearchOutcome(m=3, count_raw=8, count_anchored=1, witnesses=(), nodes_explored=5, "
+     "exhausted=True, reason=None)"),
+]
+# A proof step holds its numbers in a dict, so steps and traces of steps are unhashable.
+UNHASHABLE = {ProofStep}
+
+
+@pytest.mark.parametrize("cls, args, other_args, text", CASES, ids=[c[0].__name__ for c in CASES])
+def test_value_semantics(cls, args, other_args, text):
+    a, b, other = cls(*args), cls(*args), cls(*other_args)
+    assert a == b and not a != b
+    assert a != other
+    assert a != args  # never equal to a value of another type
+    if cls not in UNHASHABLE:
+        assert hash(a) == hash(b)
+        assert len({a, b, other}) == 2
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    assert repr(a) == text
+    first_field = text[text.index("(") + 1:text.index("=")]
+    with pytest.raises(AttributeError):
+        setattr(a, first_field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, first_field)
+    assert repr(a) == text
+    assert copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_graph_equality_ignores_name():
+    plain, named = Graph(2, K2), Graph(2, K2, name="K_2")
+    assert plain == named
+    assert hash(plain) == hash(named)
+    assert named.name == "K_2" and "name='K_2'" in repr(named)
+
+
+def test_assignment_refused_on_every_field():
+    g = Graph(2, K2, name="K_2")
+    for name in ("n", "edges", "name"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    assert (g.n, g.edges, g.name) == (2, K2, "K_2")
+
+
+def test_keyword_and_default_construction():
+    assert Graph(n=2, edges=[(1, 0)]) == Graph(2, K2)
+    assert Graph(2, K2).name is None
+    assert Labeling(m=2, values=[3, 0]).values == (3, 0)
+    assert SearchConfig() == SearchConfig("count", "affine", None)
+    assert SearchConfig(node_limit=7) == SearchConfig("count", "affine", 7)
+    outcome = SearchOutcome(m=3, count_raw=0, count_anchored=0, witnesses=(),
+                            nodes_explored=0, exhausted=True)
+    assert outcome.reason is None
+    assert outcome == SearchOutcome(3, 0, 0, (), 0, True, reason=None)
+    assert ProofTrace(p=3, q=5, m=4, steps=()) == ProofTrace(3, 5, 4, ())
+    assert StarDecision(kind="k", m=None) == StarDecision("k", None)
+    assert FeasibilityVerdict(feasible=False, m=None) == FeasibilityVerdict(False, None)
+    assert Bipartition(q_side=frozenset(), p_side=frozenset({0})).p_side == frozenset({0})
+    fields = dict(zip(
+        ("vertex_injective", "vertex_witness", "edge_injective", "edge_witness",
+         "covers_all_nonempty", "missing_label", "empty_edge", "valid"), REPORT_FIELDS))
+    assert ValidationReport(**fields) == ValidationReport(*REPORT_FIELDS)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(-1, ()), "vertex count must be non-negative, got -1"),
+    (lambda: Graph(2, ((1, 1),)), "loop at vertex 1 (graph must be simple)"),
+    (lambda: Graph(2, ((0, 2),)), "edge (0,2) has an endpoint outside 0..1"),
+    (lambda: Graph(2, ((0, 1), (1, 0))), "duplicate edge (0,1) (graph must be simple)"),
+    (lambda: Labeling(-1, ()), "ground size must be non-negative, got -1"),
+    (lambda: Labeling(31, ()), "ground size 31 exceeds the supported cap 30"),
+    (lambda: Labeling(2, (0, 4)), "label 4 at vertex 1 out of range for ground size m=2"),
+    (lambda: Labeling(2, (-1,)), "label -1 at vertex 0 out of range for ground size m=2"),
+    (lambda: SearchConfig(mode="some"),
+     "mode must be one of ('first', 'count', 'all'), got 'some'"),
+    (lambda: SearchConfig(symmetry="full"),
+     "symmetry must be one of ('affine', 'translation', 'none'), got 'full'"),
+    (lambda: SearchConfig(node_limit=0), "node_limit must be positive, got 0"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
