@@ -1,97 +1,89 @@
-"""Set-graceful labelings of finite simple graphs: decide, search, verify."""
+"""Set-graceful labelings of finite simple graphs: decide, search, verify.
 
-from setgraceful.conditions import (
-    EDGE_COUNT_INFEASIBLE,
-    NON_STAR_IMPOSSIBLE,
-    STAR_ADMITS,
-    FeasibilityVerdict,
-    ProofStep,
-    ProofTrace,
-    StarDecision,
-    TraceNotApplicableError,
-    construct_star_labeling,
-    feasible_ground_size,
-    proof_trace,
-    star_theorem_decision,
-)
-from setgraceful.graph import (
-    Bipartition,
-    Graph,
-    GraphParseError,
-    complete_bipartition,
-    make_complete_bipartite,
-    make_cycle,
-    make_path,
-    read_graph,
-    write_graph,
-)
-from setgraceful.labeling import (
-    Labeling,
-    LabelingParseError,
-    ValidationReport,
-    edge_labels,
-    edge_preimage,
-    is_set_graceful,
-    normalize_anchor,
-    read_labeling,
-    translate,
-    validate,
-    write_labeling,
-)
-from setgraceful.labels import (
-    MAX_GROUND_SIZE,
-    check_ground_size,
-    format_label,
-    parse_label,
-    sym_diff,
-)
-from setgraceful.oracle import EnumerationCapError, brute_force_enumerate
-from setgraceful.search import SearchConfig, SearchOutcome, search, vertex_order
+The public names below are imported from their modules on first access
+(PEP 562), so a process loads only the modules it uses: a CLI ``check``
+compiles neither the search engine, nor the conditions, nor the oracle.
+"""
+
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bipartition",
-    "EDGE_COUNT_INFEASIBLE",
-    "EnumerationCapError",
-    "FeasibilityVerdict",
-    "Graph",
-    "GraphParseError",
-    "Labeling",
-    "LabelingParseError",
-    "MAX_GROUND_SIZE",
-    "NON_STAR_IMPOSSIBLE",
-    "ProofStep",
-    "ProofTrace",
-    "STAR_ADMITS",
-    "SearchConfig",
-    "SearchOutcome",
-    "StarDecision",
-    "TraceNotApplicableError",
-    "ValidationReport",
-    "brute_force_enumerate",
-    "check_ground_size",
-    "complete_bipartition",
-    "construct_star_labeling",
-    "edge_labels",
-    "edge_preimage",
-    "feasible_ground_size",
-    "format_label",
-    "is_set_graceful",
-    "make_complete_bipartite",
-    "make_cycle",
-    "make_path",
-    "normalize_anchor",
-    "parse_label",
-    "proof_trace",
-    "read_graph",
-    "read_labeling",
-    "search",
-    "star_theorem_decision",
-    "sym_diff",
-    "translate",
-    "validate",
-    "vertex_order",
-    "write_graph",
-    "write_labeling",
-]
+_EXPORTS = {
+    "conditions": (
+        "EDGE_COUNT_INFEASIBLE",
+        "NON_STAR_IMPOSSIBLE",
+        "STAR_ADMITS",
+        "FeasibilityVerdict",
+        "ProofStep",
+        "ProofTrace",
+        "StarDecision",
+        "TraceNotApplicableError",
+        "construct_star_labeling",
+        "feasible_ground_size",
+        "proof_trace",
+        "star_theorem_decision",
+    ),
+    "graph": (
+        "Bipartition",
+        "Graph",
+        "GraphParseError",
+        "complete_bipartition",
+        "make_complete_bipartite",
+        "make_cycle",
+        "make_path",
+        "read_graph",
+        "write_graph",
+    ),
+    "labeling": (
+        "Labeling",
+        "LabelingParseError",
+        "ValidationReport",
+        "edge_labels",
+        "edge_preimage",
+        "is_set_graceful",
+        "normalize_anchor",
+        "read_labeling",
+        "translate",
+        "validate",
+        "write_labeling",
+    ),
+    "labels": (
+        "MAX_GROUND_SIZE",
+        "check_ground_size",
+        "format_label",
+        "parse_label",
+        "sym_diff",
+    ),
+    "oracle": ("EnumerationCapError", "brute_force_enumerate"),
+    "search": ("SearchConfig", "SearchOutcome", "search", "vertex_order"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value: object) -> None:
+        # Importing the submodule setgraceful.search binds it here, under the
+        # name of the function it defines; the package keeps the function.
+        if name == "search" and isinstance(value, ModuleType):
+            value = value.search
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

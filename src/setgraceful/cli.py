@@ -13,14 +13,8 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from setgraceful.conditions import (
-    NON_STAR_IMPOSSIBLE,
-    STAR_ADMITS,
-    ProofTrace,
-    proof_trace,
-    star_theorem_decision,
-)
 from setgraceful.graph import (
     Graph,
     GraphParseError,
@@ -36,8 +30,13 @@ from setgraceful.labeling import (
     validate,
     write_labeling,
 )
-from setgraceful.labels import MAX_GROUND_SIZE
-from setgraceful.search import MODES, SearchConfig, SearchOutcome, search
+from setgraceful.labels import MAX_GROUND_SIZE, MODES
+
+# The commands that search or decide import `search` and `conditions`
+# themselves, so that a `check` or `gen` process does not load them.
+if TYPE_CHECKING:
+    from setgraceful.conditions import ProofTrace
+    from setgraceful.search import SearchOutcome
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -179,6 +178,8 @@ def _outcome_payload(outcome: SearchOutcome) -> dict:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from setgraceful.search import SearchConfig, search
+
     try:
         g = _load_graph(args.graph)
     except (OSError, GraphParseError, ValueError) as exc:
@@ -209,10 +210,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"graph: {_graph_desc(g)}")
-        if outcome.reason is not None:
+        if outcome.m is None:
             print(f"infeasible: {outcome.reason}")
         else:
             print(f"m={outcome.m}")
+            if outcome.reason is not None:
+                print(f"no labeling: {outcome.reason}")
         print(f"mode={args.mode} symmetry={'off' if args.no_symmetry else 'on'}")
         print(f"count_raw={outcome.count_raw}")
         print(f"count_anchored={outcome.count_anchored}")
@@ -244,6 +247,14 @@ def _divisors(t: int) -> list[int]:
 
 
 def cmd_theorem(args: argparse.Namespace) -> int:
+    from setgraceful.conditions import (
+        NON_STAR_IMPOSSIBLE,
+        STAR_ADMITS,
+        proof_trace,
+        star_theorem_decision,
+    )
+    from setgraceful.search import SearchConfig, search
+
     m = args.m
     if m is None:
         return _fail("--m is required")

@@ -1,11 +1,13 @@
 """Closed-form necessary conditions and the complete-bipartite decision.
 
 A set-graceful labeling makes the edge map a bijection onto the nonempty
-labels, so a graph can only admit one when |E| = 2**m - 1.  For complete
-bipartite graphs the decision is total: stars K_{1,q} with q = 2**m - 1
-admit a labeling (a constructive witness lives here), every other K_{p,q}
-does not.  `proof_trace` instantiates the parity contradiction for a
-concrete non-star (p, q) as a checkable list of steps.
+labels, so a graph can only admit one when |E| = 2**m - 1.  For m >= 2 a
+parity argument also rules out every graph with exactly two odd-degree
+vertices (`parity_obstruction`).  For complete bipartite graphs the
+decision is total: stars K_{1,q} with q = 2**m - 1 admit a labeling (a
+constructive witness lives here), every other K_{p,q} does not.
+`proof_trace` instantiates the parity contradiction for a concrete non-star
+(p, q) as a checkable list of steps.
 """
 
 from __future__ import annotations
@@ -106,6 +108,25 @@ def feasible_ground_size(g: Graph) -> FeasibilityVerdict:
     """The unique ground size m with |E| = 2**m - 1, when one exists."""
     m = _exact_log2(len(g.edges) + 1)
     return FeasibilityVerdict(feasible=m is not None, m=m)
+
+
+def parity_obstruction(g: Graph, m: int) -> tuple[int, int] | None:
+    """The two odd-degree vertices of g, when m >= 2 and they are its only ones.
+
+    XOR the edge labels of a set-graceful labeling f over all edges.  Each
+    vertex label enters deg(v) times, so the total is the XOR of f(v) over
+    the odd-degree vertices.  The edge labels are the nonzero labels once
+    each, and for m >= 2 every bit is set in 2**(m-1) of them, an even
+    number, so the total is 0.  With exactly two odd-degree vertices u and v
+    that forces f(u) = f(v), which injectivity forbids: g has no labeling
+    over ground size m.  The pair is the whole certificate; g.degrees()
+    rechecks it.  Returns None when m < 2 or g has another number of
+    odd-degree vertices.
+    """
+    if m < 2:
+        return None
+    odd = [v for v, d in enumerate(g.degrees()) if d & 1]
+    return (odd[0], odd[1]) if len(odd) == 2 else None
 
 
 def star_theorem_decision(p: int, q: int) -> StarDecision:

@@ -14,6 +14,10 @@ MAX_GROUND_SIZE = 30
 
 STYLES = ("int", "binary", "set")
 
+# The search modes.  Defined here rather than in `search`, so that the CLI
+# can offer them without loading the engine.
+MODES = ("first", "count", "all")
+
 
 def check_ground_size(m: int) -> int:
     """Return m unchanged, or raise ValueError if it is not a usable ground size."""

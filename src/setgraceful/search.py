@@ -32,6 +32,13 @@ a node limit would not bound the list; all mode therefore searches with
 translation symmetry whenever symmetry is on, and its witnesses, counts and
 node counts are those of ``symmetry="translation"``.
 
+Closed-form exits: before it builds any per-vertex state, `search`
+answers without exploring a node when the edge count is not 2**m - 1 for
+any m, when there are more vertices than labels, and when m >= 2 and
+exactly two vertices have odd degree (`conditions.parity_obstruction`: the
+XOR of all edge labels is 0, so those two vertices would need the same
+label).  The first and last of these record a reason in the outcome.
+
 Determinism: the search runs on one thread along one code path.  Candidate
 labels are tried in ascending numeric order and all-mode witnesses are
 sorted by their label sequence in vertex order, so a given graph and config
@@ -40,13 +47,12 @@ always yield the same outcome, node count included.
 
 from __future__ import annotations
 
-from setgraceful.conditions import feasible_ground_size
+from setgraceful.conditions import feasible_ground_size, parity_obstruction
 from setgraceful.graph import Graph
 from setgraceful.labeling import Labeling
-from setgraceful.labels import check_ground_size
+from setgraceful.labels import MODES, check_ground_size
 from setgraceful.record import Record, set_field
 
-MODES = ("first", "count", "all")
 SYMMETRIES = ("affine", "translation", "none")
 
 
@@ -79,7 +85,9 @@ class SearchOutcome(Record):
     count_anchored counts the labelings with the anchor at the empty label,
     which is count_raw / 2**m whenever symmetry is on.  m is None only for
     graphs whose edge count rules out every ground size, with the reason
-    recorded.
+    recorded.  A reason is also recorded, with m set, when the parity
+    condition decides the graph without search; it names the two
+    odd-degree vertices.
     """
 
     __slots__ = (
@@ -222,10 +230,13 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
 
     A graph whose edge count is not 2**m - 1 for any m gets an immediate
     zero outcome with the reason recorded (not an error), and one with more
-    vertices than labels gets a zero outcome without search.  Otherwise the
-    ground size is forced and the engine explores every injective
-    assignment compatible with the occupancy bitsets, one per orbit of
-    cfg.symmetry (of translation symmetry in all mode).
+    vertices than labels gets a zero outcome without search.  A graph with
+    exactly two odd-degree vertices and m >= 2 gets a zero outcome without
+    search too, with m set and a reason naming the two vertices
+    (`conditions.parity_obstruction`), in every mode and symmetry setting.
+    Otherwise the engine explores every injective assignment compatible with
+    the occupancy bitsets, one per orbit of cfg.symmetry (of translation
+    symmetry in all mode).
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -242,8 +253,6 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
         )
     m = verdict.m
     check_ground_size(m)
-    universe = 1 << m
-    full = (1 << universe) - 1
     n = g.n
 
     if n == 0:
@@ -252,14 +261,34 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
             m=m, count_raw=1, count_anchored=1, witnesses=wits,
             nodes_explored=0, exhausted=True,
         )
-    if n > universe:
+    if n > 1 << m:
         # Too few labels for distinct vertex labels.  Answer before building
         # per-vertex state, whose size only the vertex count bounds.
         return SearchOutcome(
             m=m, count_raw=0, count_anchored=0, witnesses=(),
             nodes_explored=0, exhausted=True,
         )
+    pair = parity_obstruction(g, m)
+    if pair is not None:
+        return SearchOutcome(
+            m=m, count_raw=0, count_anchored=0, witnesses=(),
+            nodes_explored=0, exhausted=True,
+            reason=f"vertices {pair[0]} and {pair[1]} are the only odd-degree vertices, "
+                   "so any labeling would give them the same label",
+        )
+    return _tree_search(g, m, cfg)
 
+
+def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:
+    """The engine's answer for g over its ground size m, found by walking its tree.
+
+    Needs 1 <= g.n <= 2**m.  `search` calls it once no closed-form answer
+    applies; tests call it to pin what the walk does on graphs that a
+    closed form answers first.
+    """
+    universe = 1 << m
+    full = (1 << universe) - 1
+    n = g.n
     order = vertex_order(g)
     pos = [0] * n
     for i, v in enumerate(order):

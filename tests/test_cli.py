@@ -1,5 +1,6 @@
 """End-to-end CLI flows: exit codes, formats, emitted files."""
 
+import importlib
 import json
 import os
 import signal
@@ -11,9 +12,13 @@ from pathlib import Path
 import pytest
 
 import setgraceful
+from setgraceful import conditions
 from setgraceful.cli import main
 from setgraceful.conditions import proof_trace
 from setgraceful.search import SearchOutcome
+
+# The module, not the function that the package exports under its name.
+SEARCH_MODULE = importlib.import_module("setgraceful.search")
 
 
 def run(capsys, *argv):
@@ -165,6 +170,25 @@ def test_search_infeasible_reports_reason(capsys, tmp_path):
     assert "infeasible: edge count 4 is not 2^m - 1 for any m" in out
 
 
+def test_search_parity_reports_m_and_reason(capsys, tmp_path):
+    # P_16 has exactly two odd-degree vertices, its ends.
+    gpath = tmp_path / "p16.graph"
+    run(capsys, "gen", "--type", "path", "--n", "16", "--out", str(gpath))
+    code, out, _ = run(capsys, "search", str(gpath), "--mode", "first")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "m=4"
+    assert lines[2].startswith("no labeling: vertices 0 and 15 are the only odd-degree vertices")
+    assert "nodes_explored=0" in lines
+    assert "witness: none (exhausted)" in lines
+    code, out, _ = run(capsys, "search", str(gpath), "--mode", "first", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["m"], payload["exhausted"], payload["count_raw"],
+            payload["nodes_explored"], payload["witnesses"]) == (4, True, 0, 0, [])
+    assert "vertices 0 and 15" in payload["reason"]
+
+
 def test_search_emit_first_revalidates(capsys, tmp_path, star_files):
     gpath, _ = star_files
     wpath = tmp_path / "witness.lab"
@@ -299,7 +323,8 @@ def test_theorem_disagreement_outranks_node_limit(capsys, monkeypatch):
         SearchOutcome(m=2, count_raw=0, count_anchored=0, witnesses=(),
                       nodes_explored=5, exhausted=False),
     ])
-    monkeypatch.setattr("setgraceful.cli.search", lambda g, cfg: next(outcomes))
+    # The CLI imports search when the command runs, so the module's name is patched.
+    monkeypatch.setattr(SEARCH_MODULE, "search", lambda g, cfg: next(outcomes))
     code, out, _ = run(capsys, "theorem", "--m", "2", "--node-limit", "5")
     assert code == 1
     assert "exhausted=yes, DISAGREES" in out
@@ -345,7 +370,7 @@ def test_theorem_builds_each_trace_once(capsys, monkeypatch):
             calls.append((p, q))
             return proof_trace(p, q)
 
-        monkeypatch.setattr("setgraceful.cli.proof_trace", counting)
+        monkeypatch.setattr(conditions, "proof_trace", counting)
         code, _, _ = run(capsys, "theorem", "--m", "6", *extra)
         assert code == 0
         # 63 has four non-star factor pairs: (3,21), (7,9), (9,7), (21,3).

@@ -15,6 +15,7 @@ from setgraceful import (
     validate,
     vertex_order,
 )
+from setgraceful.search import _tree_search
 
 from conftest import FEASIBLE_CORPUS, INFEASIBLE_CORPUS
 
@@ -157,7 +158,10 @@ def test_pinned_node_counts():
     assert search(make_cycle(7), SearchConfig(symmetry="translation")).nodes_explored == 2_948
     off = SearchConfig(mode="count", symmetry="none")
     assert search(make_cycle(7), off).nodes_explored == 23_584
-    assert search(make_path(8), SearchConfig(symmetry="translation")).nodes_explored == 3_284
+    # The parity check answers P_8 first; the tree walk below it is pinned alone.
+    translation = SearchConfig(symmetry="translation")
+    assert _tree_search(make_path(8), 3, translation).nodes_explored == 3_284
+    assert search(make_path(8), translation).nodes_explored == 0
     star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all", symmetry="translation"))
     assert star.nodes_explored == 13_700
 
@@ -233,11 +237,22 @@ def test_affine_k35_k53_exhaust_with_zero():
 
 
 def test_affine_p16_has_no_labeling():
-    outcome = search(make_path(16), SearchConfig(mode="first"))
+    # The ends 0 and 15 are the only odd-degree vertices: search() answers by
+    # parity without a node, and the tree walk agrees after 282,091 nodes.
+    cfg = SearchConfig(mode="first")
+    outcome = search(make_path(16), cfg)
+    assert outcome.m == 4
     assert outcome.exhausted
-    assert outcome.count_raw == 0
+    assert outcome.count_raw == outcome.count_anchored == 0
     assert outcome.witnesses == ()
-    assert outcome.nodes_explored == 282_091
+    assert outcome.nodes_explored == 0
+    assert "vertices 0 and 15" in outcome.reason
+    walked = _tree_search(make_path(16), 4, cfg)
+    assert walked.exhausted
+    assert walked.count_raw == 0
+    assert walked.witnesses == ()
+    assert walked.nodes_explored == 282_091
+    assert walked.reason is None
 
 
 def test_affine_c15_count():
@@ -261,7 +276,10 @@ def test_affine_c15_first_matches_translation_witness():
 
 def test_affine_pinned_node_counts():
     assert search(make_cycle(7)).nodes_explored == 21
-    assert search(make_path(8)).nodes_explored == 23
+    assert _tree_search(make_path(8), 3, SearchConfig()).nodes_explored == 23
+    p8 = search(make_path(8))
+    assert (p8.m, p8.nodes_explored, p8.count_raw, p8.exhausted) == (3, 0, 0, True)
+    assert "vertices 0 and 7" in p8.reason
 
 
 def test_all_mode_searches_with_translation_symmetry():
