@@ -165,18 +165,6 @@ def _emit_witnesses(outcome: SearchOutcome, path: str) -> list[str]:
     return paths
 
 
-def _outcome_payload(outcome: SearchOutcome) -> dict:
-    return {
-        "m": outcome.m,
-        "count_raw": outcome.count_raw,
-        "count_anchored": outcome.count_anchored,
-        "nodes_explored": outcome.nodes_explored,
-        "exhausted": outcome.exhausted,
-        "reason": outcome.reason,
-        "witnesses": [list(w.values) for w in outcome.witnesses],
-    }
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     from setgraceful.search import SearchConfig, search
 
@@ -204,7 +192,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             return _fail(str(exc))
 
     if args.json:
-        payload = _outcome_payload(outcome)
+        payload = _fields(outcome)
+        payload["witnesses"] = [list(w.values) for w in outcome.witnesses]
         payload["graph"] = {"n": g.n, "edges": list(g.edges)}
         payload["emitted"] = emitted
         print(json.dumps(payload, sort_keys=True))

@@ -17,7 +17,7 @@ from typing import Callable
 from setgraceful.graph import Graph, make_complete_bipartite
 from setgraceful.labeling import Labeling
 from setgraceful.labels import check_ground_size
-from setgraceful.record import Record, set_field
+from setgraceful.record import Record
 
 STAR_ADMITS = "star-admits"
 NON_STAR_IMPOSSIBLE = "non-star-impossible"
@@ -33,19 +33,11 @@ class FeasibilityVerdict(Record):
 
     __slots__ = ("feasible", "m")
 
-    def __init__(self, feasible: bool, m: int | None) -> None:
-        set_field(self, "feasible", feasible)
-        set_field(self, "m", m)
-
 
 class StarDecision(Record):
     """Outcome of the complete-bipartite decision for side sizes (p, q)."""
 
     __slots__ = ("kind", "m")
-
-    def __init__(self, kind: str, m: int | None) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "m", m)
 
 
 class ProofStep(Record):
@@ -56,11 +48,6 @@ class ProofStep(Record):
 
     __slots__ = ("kind", "numbers", "conclusion")
 
-    def __init__(self, kind: str, numbers: dict[str, int], conclusion: str) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "numbers", numbers)
-        set_field(self, "conclusion", conclusion)
-
     def recheck(self) -> bool:
         """Re-evaluate the step's numeric claim from its recorded numbers."""
         return _RECHECKS[self.kind](self.numbers)
@@ -70,12 +57,6 @@ class ProofTrace(Record):
     """The instantiated contradiction for a non-star K_{p,q}, step by step."""
 
     __slots__ = ("p", "q", "m", "steps")
-
-    def __init__(self, p: int, q: int, m: int, steps: tuple[ProofStep, ...]) -> None:
-        set_field(self, "p", p)
-        set_field(self, "q", q)
-        set_field(self, "m", m)
-        set_field(self, "steps", steps)
 
     def render(self) -> str:
         """One numbered line per step, stable wording."""

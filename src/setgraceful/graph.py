@@ -81,10 +81,6 @@ class Bipartition(Record):
 
     __slots__ = ("p_side", "q_side")
 
-    def __init__(self, p_side: frozenset[int], q_side: frozenset[int]) -> None:
-        set_field(self, "p_side", p_side)
-        set_field(self, "q_side", q_side)
-
 
 def make_complete_bipartite(p: int, q: int) -> Graph:
     """K_{p,q}: vertices 0..p-1 on one side, p..p+q-1 on the other, all cross edges."""

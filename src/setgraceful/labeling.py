@@ -65,26 +65,6 @@ class ValidationReport(Record):
         "covers_all_nonempty", "missing_label", "empty_edge", "valid",
     )
 
-    def __init__(
-        self,
-        vertex_injective: bool,
-        vertex_witness: tuple[int, int] | None,
-        edge_injective: bool,
-        edge_witness: tuple[Edge, Edge] | None,
-        covers_all_nonempty: bool,
-        missing_label: int | None,
-        empty_edge: Edge | None,
-        valid: bool,
-    ) -> None:
-        set_field(self, "vertex_injective", vertex_injective)
-        set_field(self, "vertex_witness", vertex_witness)
-        set_field(self, "edge_injective", edge_injective)
-        set_field(self, "edge_witness", edge_witness)
-        set_field(self, "covers_all_nonempty", covers_all_nonempty)
-        set_field(self, "missing_label", missing_label)
-        set_field(self, "empty_edge", empty_edge)
-        set_field(self, "valid", valid)
-
 
 def edge_labels(g: Graph, f: Labeling) -> list[int]:
     """Induced edge labels, one per edge in g's canonical edge order."""

@@ -1,8 +1,10 @@
 """Immutable value records: the common base of the package's result types.
 
 A record is a slotted class whose ``__slots__`` name its fields in
-constructor order.  Its ``__init__`` sets each field once with
-``set_field``; afterwards assigning or deleting a field raises
+constructor order.  Unless the class writes its own ``__init__`` (to
+validate or convert its arguments), its constructor is generated from
+``__slots__`` and the ``_defaults`` dict, and sets each field once with
+``set_field``.  Afterwards assigning or deleting a field raises
 AttributeError.  Records compare equal when they are of the same class and
 their fields compare equal, hash by those fields, and print as
 ``Name(field=value, ...)``.  The module imports nothing, so a process that
@@ -20,6 +22,12 @@ class Record:
     """Base of the immutable value types; subclasses list their fields in __slots__."""
 
     __slots__ = ()
+    # Default values of trailing fields, by name, for a generated constructor.
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        if cls.__init__ is object.__init__:
+            cls.__init__ = _GeneratedInit()
 
     def _key(self) -> tuple:
         """The fields that equality and hashing read; all of them by default."""
@@ -47,3 +55,25 @@ class Record:
         # Rebuild through the constructor: the default slot-state restore
         # would go through __setattr__.
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class _GeneratedInit:
+    """A record's constructor, compiled from its __slots__ on first lookup.
+
+    Built from source, as ``collections.namedtuple`` builds ``__new__``, so a
+    call makes one set_field store per field; the source holds only slot
+    names, which Python has checked are identifiers.  Compiling on first
+    lookup spares each process the types it never builds.
+    """
+
+    def __get__(self, record: Record | None, cls: type[Record]) -> object:
+        fields = cls.__slots__
+        params = ", ".join(
+            f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in fields
+        )
+        body = "; ".join(f"set_field(self, {name!r}, {name})" for name in fields)
+        scope = {"set_field": set_field, "_defaults": cls._defaults, "__name__": cls.__module__}
+        exec(f"def __init__(self, {params}):\n    {body}\n", scope)
+        init = cls.__init__ = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        return init.__get__(record, cls)

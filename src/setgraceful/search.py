@@ -93,24 +93,7 @@ class SearchOutcome(Record):
     __slots__ = (
         "m", "count_raw", "count_anchored", "witnesses", "nodes_explored", "exhausted", "reason",
     )
-
-    def __init__(
-        self,
-        m: int | None,
-        count_raw: int,
-        count_anchored: int,
-        witnesses: tuple[Labeling, ...],
-        nodes_explored: int,
-        exhausted: bool,
-        reason: str | None = None,
-    ) -> None:
-        set_field(self, "m", m)
-        set_field(self, "count_raw", count_raw)
-        set_field(self, "count_anchored", count_anchored)
-        set_field(self, "witnesses", witnesses)
-        set_field(self, "nodes_explored", nodes_explored)
-        set_field(self, "exhausted", exhausted)
-        set_field(self, "reason", reason)
+    _defaults = {"reason": None}
 
 
 def vertex_order(g: Graph) -> list[int]:
@@ -242,15 +225,7 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
         cfg = SearchConfig()
     verdict = feasible_ground_size(g)
     if not verdict.feasible:
-        return SearchOutcome(
-            m=None,
-            count_raw=0,
-            count_anchored=0,
-            witnesses=(),
-            nodes_explored=0,
-            exhausted=True,
-            reason=f"edge count {len(g.edges)} is not 2^m - 1 for any m",
-        )
+        return _no_labeling(None, f"edge count {len(g.edges)} is not 2^m - 1 for any m")
     m = verdict.m
     check_ground_size(m)
     n = g.n
@@ -264,19 +239,17 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     if n > 1 << m:
         # Too few labels for distinct vertex labels.  Answer before building
         # per-vertex state, whose size only the vertex count bounds.
-        return SearchOutcome(
-            m=m, count_raw=0, count_anchored=0, witnesses=(),
-            nodes_explored=0, exhausted=True,
-        )
+        return _no_labeling(m)
     pair = parity_obstruction(g, m)
     if pair is not None:
-        return SearchOutcome(
-            m=m, count_raw=0, count_anchored=0, witnesses=(),
-            nodes_explored=0, exhausted=True,
-            reason=f"vertices {pair[0]} and {pair[1]} are the only odd-degree vertices, "
-                   "so any labeling would give them the same label",
-        )
+        return _no_labeling(m, f"vertices {pair[0]} and {pair[1]} are the only odd-degree "
+                               "vertices, so any labeling would give them the same label")
     return _tree_search(g, m, cfg)
+
+
+def _no_labeling(m: int | None, reason: str | None = None) -> SearchOutcome:
+    """A closed-form exit's outcome: no labeling, and no node explored."""
+    return SearchOutcome(m, 0, 0, (), 0, True, reason)
 
 
 def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:

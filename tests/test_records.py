@@ -1,8 +1,10 @@
 """Value semantics of the result types: construction, equality, hashing,
-immutability, repr, and the constructors' validation messages."""
+immutability, repr, the constructors' signatures and their validation messages."""
 
 import copy
+import inspect
 import pickle
+import sys
 
 import pytest
 
@@ -18,6 +20,7 @@ from setgraceful import (
     StarDecision,
     ValidationReport,
 )
+from setgraceful.record import Record
 
 K2 = ((0, 1),)
 REPORT_FIELDS = (True, None, True, None, True, None, None, True)
@@ -48,6 +51,16 @@ CASES = [
 ]
 # A proof step holds its numbers in a dict, so steps and traces of steps are unhashable.
 UNHASHABLE = {ProofStep}
+# The types that write their own constructor, to validate or convert their
+# arguments; the others get one generated from __slots__.
+OWN_INIT = {Graph, Labeling, SearchConfig}
+# Every constructor's defaults; the fields not named here are required.
+DEFAULTS = {
+    Graph: {"name": None},
+    SearchConfig: {"mode": "count", "symmetry": "affine", "node_limit": None},
+    SearchOutcome: {"reason": None},
+}
+GENERATED = [case for case in CASES if case[0] not in OWN_INIT]
 
 
 @pytest.mark.parametrize("cls, args, other_args, text", CASES, ids=[c[0].__name__ for c in CASES])
@@ -71,6 +84,45 @@ def test_value_semantics(cls, args, other_args, text):
     assert repr(a) == text
     assert copy.deepcopy(a) == a
     assert pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("cls", [c[0] for c in CASES], ids=[c[0].__name__ for c in CASES])
+def test_constructor_signature_lists_the_slots(cls):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls.__slots__
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    assert defaults == DEFAULTS.get(cls, {})
+    # A hand-written constructor is kept; a generated one is compiled from a string.
+    source = cls.__init__.__code__.co_filename
+    assert source == (sys.modules[cls.__module__].__file__ if cls in OWN_INIT else "<string>")
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+
+@pytest.mark.parametrize("cls, args", [c[:2] for c in GENERATED],
+                         ids=[c[0].__name__ for c in GENERATED])
+def test_generated_constructor_rejects_bad_arguments(cls, args):
+    first = cls.__slots__[0]
+    by_name = dict(zip(cls.__slots__, args))
+    assert cls(**by_name) == cls(*args)
+    del by_name[first]
+    with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{first}'"):
+        cls(**by_name)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*args, extra=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(*args, **{first: args[0]})
+
+
+def test_generated_constructor_compiles_on_first_call():
+    class Pair(Record):
+        __slots__ = ("a", "b")
+        _defaults = {"b": 0}
+
+    assert not inspect.isfunction(Pair.__dict__["__init__"])
+    assert repr(Pair(1)).endswith(".Pair(a=1, b=0)")
+    assert inspect.isfunction(Pair.__dict__["__init__"])
+    assert Pair(b=2, a=1) == Pair(1, 2) != Pair(1)
 
 
 def test_graph_equality_ignores_name():
