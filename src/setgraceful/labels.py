@@ -49,11 +49,11 @@ def sym_diff(a: int, b: int) -> int:
 def parse_label(text: str, m: int) -> int:
     """Parse a label literal (decimal, or binary with a 0b prefix).
 
-    A bare 0/1 string of length exactly m is read as the zero-padded binary
-    form that format_label emits; this cannot clash with an in-range decimal,
-    because a 0/1-only decimal with m digits is at least 10**(m-1) > 2**m - 1
-    for m >= 2.  Raises ValueError for malformed input and for values outside
-    the label universe of ground size m.
+    Any bare 0/1 string of exactly m characters is read as binary, the
+    zero-padded form that format_label emits, even where it is also an
+    in-range decimal: at m = 4, "0011" is 3, not 11.  Raises ValueError for
+    malformed input and for values outside the label universe of ground
+    size m.
     """
     check_ground_size(m)
     stripped = text.strip()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from setgraceful import Graph, make_complete_bipartite, make_cycle, make_path
+from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
 
 
 def complete_graph(n: int) -> Graph:

@@ -9,22 +9,17 @@ import random
 import time
 from pathlib import Path
 
-from setgraceful import (
+from setgraceful.conditions import (
     NON_STAR_IMPOSSIBLE,
     STAR_ADMITS,
-    Graph,
-    Labeling,
-    SearchConfig,
-    brute_force_enumerate,
-    edge_labels,
     feasible_ground_size,
-    make_complete_bipartite,
     proof_trace,
-    search,
     star_theorem_decision,
-    translate,
-    validate,
 )
+from setgraceful.graph import Graph, make_complete_bipartite
+from setgraceful.labeling import Labeling, edge_labels, translate, validate
+from setgraceful.oracle import brute_force_enumerate
+from setgraceful.search import SearchConfig, search
 
 from conftest import FEASIBLE_CORPUS, INFEASIBLE_CORPUS
 

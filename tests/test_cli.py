@@ -1,6 +1,5 @@
 """End-to-end CLI flows: exit codes, formats, emitted files."""
 
-import importlib
 import json
 import os
 import signal
@@ -13,12 +12,10 @@ import pytest
 
 import setgraceful
 from setgraceful import conditions
+from setgraceful import search as search_module
 from setgraceful.cli import main
 from setgraceful.conditions import proof_trace
 from setgraceful.search import SearchOutcome
-
-# The module, not the function that the package exports under its name.
-SEARCH_MODULE = importlib.import_module("setgraceful.search")
 
 
 def run(capsys, *argv):
@@ -324,7 +321,7 @@ def test_theorem_disagreement_outranks_node_limit(capsys, monkeypatch):
                       nodes_explored=5, exhausted=False),
     ])
     # The CLI imports search when the command runs, so the module's name is patched.
-    monkeypatch.setattr(SEARCH_MODULE, "search", lambda g, cfg: next(outcomes))
+    monkeypatch.setattr(search_module, "search", lambda g, cfg: next(outcomes))
     code, out, _ = run(capsys, "theorem", "--m", "2", "--node-limit", "5")
     assert code == 1
     assert "exhausted=yes, DISAGREES" in out

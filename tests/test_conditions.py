@@ -4,24 +4,20 @@ from pathlib import Path
 
 import pytest
 
-from setgraceful import (
+from setgraceful.conditions import (
     EDGE_COUNT_INFEASIBLE,
     NON_STAR_IMPOSSIBLE,
     STAR_ADMITS,
-    Graph,
     ProofStep,
-    SearchConfig,
     TraceNotApplicableError,
     construct_star_labeling,
     feasible_ground_size,
-    make_complete_bipartite,
-    make_cycle,
-    make_path,
     proof_trace,
-    search,
     star_theorem_decision,
-    validate,
 )
+from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
+from setgraceful.labeling import validate
+from setgraceful.search import SearchConfig, search
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,7 +88,7 @@ def test_star_construction_m1_is_k2():
 
 
 def test_star_construction_m3_edge_labels():
-    from setgraceful import edge_labels
+    from setgraceful.labeling import edge_labels
 
     g, f = construct_star_labeling(3)
     assert sorted(edge_labels(g, f)) == list(range(1, 8))

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from setgraceful import (
+from setgraceful.graph import (
     Graph,
     GraphParseError,
     complete_bipartition,

@@ -7,24 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setgraceful import (
-    Graph,
+from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
+from setgraceful.labeling import (
     Labeling,
     LabelingParseError,
     edge_labels,
     edge_preimage,
-    format_label,
     is_set_graceful,
-    make_complete_bipartite,
-    make_cycle,
-    make_path,
     normalize_anchor,
-    parse_label,
     read_labeling,
     translate,
     validate,
     write_labeling,
 )
+from setgraceful.labels import format_label, parse_label
 
 K2 = make_complete_bipartite(1, 1)
 

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setgraceful import MAX_GROUND_SIZE, check_ground_size, format_label, parse_label, sym_diff
+from setgraceful.labels import (
+    MAX_GROUND_SIZE,
+    check_ground_size,
+    format_label,
+    parse_label,
+    sym_diff,
+)
 
 labels_with_m = st.integers(0, 10).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1), st.integers(0, (1 << m) - 1))
@@ -48,6 +54,7 @@ def test_parse_bare_padded_binary():
     # The zero-padded form format_label emits reads back as binary.
     assert parse_label("101", 3) == 5
     assert parse_label("0010", 4) == 2
+    assert parse_label("0011", 4) == 3
     # Without the exact-width cue it is decimal.
     assert parse_label("101", 7) == 101
 

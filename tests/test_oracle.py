@@ -7,16 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from setgraceful import (
-    EnumerationCapError,
-    Graph,
-    Labeling,
-    brute_force_enumerate,
-    make_complete_bipartite,
-    make_cycle,
-    make_path,
-    validate,
-)
+from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
+from setgraceful.labeling import Labeling, validate
+from setgraceful.oracle import EnumerationCapError, brute_force_enumerate
 
 
 def test_k2_both_bijections():

@@ -9,18 +9,10 @@ import itertools
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from setgraceful import (
-    Graph,
-    SearchConfig,
-    brute_force_enumerate,
-    feasible_ground_size,
-    make_complete_bipartite,
-    make_cycle,
-    make_path,
-    search,
-)
-from setgraceful.conditions import parity_obstruction
-from setgraceful.search import SYMMETRIES, _tree_search
+from setgraceful.conditions import feasible_ground_size, parity_obstruction
+from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
+from setgraceful.oracle import brute_force_enumerate
+from setgraceful.search import SYMMETRIES, SearchConfig, _tree_search, search
 
 
 @st.composite

@@ -8,19 +8,11 @@ import sys
 
 import pytest
 
-from setgraceful import (
-    Bipartition,
-    FeasibilityVerdict,
-    Graph,
-    Labeling,
-    ProofStep,
-    ProofTrace,
-    SearchConfig,
-    SearchOutcome,
-    StarDecision,
-    ValidationReport,
-)
+from setgraceful.conditions import FeasibilityVerdict, ProofStep, ProofTrace, StarDecision
+from setgraceful.graph import Bipartition, Graph
+from setgraceful.labeling import Labeling, ValidationReport
 from setgraceful.record import Record
+from setgraceful.search import SearchConfig, SearchOutcome
 
 K2 = ((0, 1),)
 REPORT_FIELDS = (True, None, True, None, True, None, None, True)

@@ -4,18 +4,10 @@ import time
 
 import pytest
 
-from setgraceful import (
-    Graph,
-    SearchConfig,
-    brute_force_enumerate,
-    make_complete_bipartite,
-    make_cycle,
-    make_path,
-    search,
-    validate,
-    vertex_order,
-)
-from setgraceful.search import _tree_search
+from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
+from setgraceful.labeling import validate
+from setgraceful.oracle import brute_force_enumerate
+from setgraceful.search import SearchConfig, _tree_search, search, vertex_order
 
 from conftest import FEASIBLE_CORPUS, INFEASIBLE_CORPUS
 

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import ModuleType
 
 import setgraceful
 
@@ -31,10 +30,14 @@ def last_line(code: str, *argv: str) -> str:
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    modules = set(ast.literal_eval(last_line(
-        "import setgraceful.cli; import sys; print(sorted(sys.modules))")))
-    assert "setgraceful.cli" in modules
-    assert modules.isdisjoint({"dataclasses", "inspect"})
+    # A bare package import loads no submodule; the CLI loads only what every command uses.
+    cli_modules = {"setgraceful.cli", "setgraceful.graph", "setgraceful.labeling",
+                   "setgraceful.labels", "setgraceful.record"}
+    for module, loaded in [("setgraceful", set()), ("setgraceful.cli", cli_modules)]:
+        modules = set(ast.literal_eval(last_line(
+            f"import {module}; import sys; print(sorted(sys.modules))")))
+        assert {name for name in modules if name.startswith("setgraceful.")} == loaded
+        assert modules.isdisjoint({"dataclasses", "inspect"})
 
 
 def run_cli(*argv: str) -> tuple[int, set[str]]:
@@ -47,32 +50,23 @@ def test_check_loads_no_search_conditions_or_oracle(tmp_path):
     graph.write_text("0 1\n0 2\n0 3\n")
     lab = tmp_path / "k13.lab"
     lab.write_text("m 2\n0 0\n1 1\n2 2\n3 3\n")
-    code, modules = run_cli("check", str(graph), str(lab))
-    assert code == 0
-    assert "setgraceful.labeling" in modules
-    assert modules.isdisjoint({"setgraceful.search", "setgraceful.conditions", "setgraceful.oracle"})
+    # gen, like check, neither searches nor decides.
+    for argv in [("check", str(graph), str(lab)),
+                 ("gen", "--type", "path", "--n", "4", "--out", str(tmp_path / "p4.graph"))]:
+        code, modules = run_cli(*argv)
+        assert code == 0
+        assert "setgraceful.labeling" in modules
+        assert modules.isdisjoint(
+            {"setgraceful.search", "setgraceful.conditions", "setgraceful.oracle"})
 
 
 def test_search_loads_no_oracle(tmp_path):
     graph = tmp_path / "k13.graph"
     graph.write_text("0 1\n0 2\n0 3\n")
-    code, modules = run_cli("search", str(graph))
-    assert code == 0
-    assert "setgraceful.search" in modules
-    assert "setgraceful.oracle" not in modules
+    # theorem confirms each decision with a search, and neither command runs the oracle.
+    for argv in [("search", str(graph)), ("theorem", "--m", "3")]:
+        code, modules = run_cli(*argv)
+        assert code == 0
+        assert "setgraceful.search" in modules
+        assert "setgraceful.oracle" not in modules
 
-
-def test_every_public_name_resolves():
-    for name in setgraceful.__all__:
-        value = getattr(setgraceful, name)
-        assert not isinstance(value, ModuleType), name
-    assert set(setgraceful.__all__) <= set(dir(setgraceful))
-
-
-def test_search_stays_the_function_after_its_module_loads():
-    # Loading the submodule binds it on the package under the function's name.
-    out = last_line(
-        "import sys, setgraceful.search, setgraceful\n"
-        "print(setgraceful.search is sys.modules['setgraceful.search'].search)"
-    )
-    assert out == "True"

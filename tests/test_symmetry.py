@@ -10,8 +10,9 @@ import random
 
 import pytest
 
-from setgraceful import Graph, SearchConfig, brute_force_enumerate, search
-from setgraceful.search import SYMMETRIES
+from setgraceful.graph import Graph
+from setgraceful.oracle import brute_force_enumerate
+from setgraceful.search import SYMMETRIES, SearchConfig, search
 
 
 def random_connected(rng: random.Random, n: int, edges: int) -> Graph:
