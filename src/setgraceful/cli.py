@@ -245,8 +245,6 @@ def cmd_theorem(args: argparse.Namespace) -> int:
     from setgraceful.search import SearchConfig, search
 
     m = args.m
-    if m is None:
-        return _fail("--m is required")
     if not 1 <= m <= MAX_GROUND_SIZE:
         return _fail(f"--m must be between 1 and {MAX_GROUND_SIZE}, got {m}")
     target = (1 << m) - 1

@@ -28,12 +28,6 @@ class TraceNotApplicableError(ValueError):
     """Raised when a proof trace is requested for a star pair."""
 
 
-class FeasibilityVerdict(Record):
-    """Whether |E| + 1 is a power of two; m is present exactly when it is."""
-
-    __slots__ = ("feasible", "m")
-
-
 class StarDecision(Record):
     """Outcome of the complete-bipartite decision for side sizes (p, q)."""
 
@@ -85,10 +79,9 @@ def _exact_log2(t: int) -> int | None:
     return t.bit_length() - 1 if t & (t - 1) == 0 else None
 
 
-def feasible_ground_size(g: Graph) -> FeasibilityVerdict:
-    """The unique ground size m with |E| = 2**m - 1, when one exists."""
-    m = _exact_log2(len(g.edges) + 1)
-    return FeasibilityVerdict(feasible=m is not None, m=m)
+def feasible_ground_size(g: Graph) -> int | None:
+    """The unique ground size m with |E| = 2**m - 1, or None when there is none."""
+    return _exact_log2(len(g.edges) + 1)
 
 
 def parity_obstruction(g: Graph, m: int) -> tuple[int, int] | None:

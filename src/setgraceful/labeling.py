@@ -7,7 +7,8 @@ vertex labels are pairwise distinct and the edge labels hit every nonempty
 subset exactly once.
 
 Labeling file format: a header line ``m <int>``, then one line per vertex,
-``<vertex> <label>``, where the label may be decimal or 0b-prefixed binary.
+``<vertex> <label>``, where the label may be decimal, 0b-prefixed binary, or
+a bare string of exactly m binary digits (see `labels.parse_label`).
 Vertices 0..n-1 must each appear exactly once; ``#`` starts a comment.
 """
 
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 from typing import IO, Iterable, Sequence
 
-from setgraceful.graph import Edge, Graph
-from setgraceful.labels import check_ground_size, check_label, format_label, parse_label
+from setgraceful.graph import Graph
+from setgraceful.labels import check_ground_size, parse_label
 from setgraceful.record import Record, set_field
 
 
@@ -146,36 +147,6 @@ def validate(g: Graph, f: Labeling) -> ValidationReport:
     )
 
 
-def translate(f: Labeling, a: int) -> Labeling:
-    """XOR every vertex label with a; edge labels are unchanged.
-
-    Translation is a bijection of the label universe, so it preserves the
-    set-graceful property (and its failure) exactly.
-    """
-    check_label(a, f.m)
-    return Labeling(f.m, tuple(v ^ a for v in f.values))
-
-
-def normalize_anchor(f: Labeling, v0: int) -> Labeling:
-    """Translate so the anchor vertex v0 carries the empty label."""
-    if not 0 <= v0 < len(f.values):
-        raise ValueError(f"anchor vertex {v0} out of range for {len(f.values)} vertices")
-    return translate(f, f.values[v0])
-
-
-def edge_preimage(g: Graph, f: Labeling, s: int) -> Edge:
-    """The unique edge whose induced label equals s, for a valid labeling.
-
-    A set-graceful labeling makes the edge map a bijection onto the nonempty
-    labels, so every nonzero s has exactly one preimage edge.
-    """
-    if check_label(s, f.m) == 0:
-        raise ValueError("empty label has no edge")
-    if not is_set_graceful(g, f.m, f.values):
-        raise ValueError("labeling is not set-graceful; edge labels are not a bijection")
-    return g.edges[edge_labels(g, f).index(s)]
-
-
 def read_labeling(stream: IO[str] | Iterable[str]) -> Labeling:
     """Parse the labeling file format; raises LabelingParseError with a line number."""
     m: int | None = None
@@ -221,8 +192,8 @@ def read_labeling(stream: IO[str] | Iterable[str]) -> Labeling:
     return Labeling(m, tuple(assigned[v] for v in range(len(assigned))))
 
 
-def write_labeling(f: Labeling, stream: IO[str], style: str = "int") -> None:
-    """Write the labeling file format, one vertex per line."""
+def write_labeling(f: Labeling, stream: IO[str]) -> None:
+    """Write the labeling file format, one vertex per line, labels in decimal."""
     stream.write(f"m {f.m}\n")
     for v, value in enumerate(f.values):
-        stream.write(f"{v} {format_label(value, f.m, style)}\n")
+        stream.write(f"{v} {value}\n")

@@ -37,7 +37,7 @@ answers without exploring a node when the edge count is not 2**m - 1 for
 any m, when there are more vertices than labels, and when m >= 2 and
 exactly two vertices have odd degree (`conditions.parity_obstruction`: the
 XOR of all edge labels is 0, so those two vertices would need the same
-label).  The first and last of these record a reason in the outcome.
+label).  Each of these records its reason in the outcome.
 
 Determinism: the search runs on one thread along one code path.  Candidate
 labels are tried in ascending numeric order and all-mode witnesses are
@@ -83,11 +83,11 @@ class SearchOutcome(Record):
     anchored under affine symmetry, 2**m and 1 under translation).  All
     mode always searches with translation symmetry when symmetry is on.
     count_anchored counts the labelings with the anchor at the empty label,
-    which is count_raw / 2**m whenever symmetry is on.  m is None only for
-    graphs whose edge count rules out every ground size, with the reason
-    recorded.  A reason is also recorded, with m set, when the parity
-    condition decides the graph without search; it names the two
-    odd-degree vertices.
+    which is count_raw / 2**m whenever symmetry is on.  reason is set
+    exactly when a closed form ruled out every labeling without search.
+    m is None only for graphs whose edge count rules out every ground size;
+    m is set when there are more vertices than labels, and when the parity
+    condition applies, whose reason names the two odd-degree vertices.
     """
 
     __slots__ = (
@@ -211,22 +211,20 @@ def _explore(
 def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Find, count, or enumerate the set-graceful labelings of g.
 
-    A graph whose edge count is not 2**m - 1 for any m gets an immediate
-    zero outcome with the reason recorded (not an error), and one with more
-    vertices than labels gets a zero outcome without search.  A graph with
-    exactly two odd-degree vertices and m >= 2 gets a zero outcome without
-    search too, with m set and a reason naming the two vertices
-    (`conditions.parity_obstruction`), in every mode and symmetry setting.
+    Three closed forms give a zero outcome without search, each with its
+    reason recorded (not an error), in every mode and symmetry setting: an
+    edge count that is not 2**m - 1 for any m (m is None), more vertices
+    than labels, and, for m >= 2, exactly two odd-degree vertices
+    (`conditions.parity_obstruction`; the reason names the two).
     Otherwise the engine explores every injective assignment compatible with
     the occupancy bitsets, one per orbit of cfg.symmetry (of translation
     symmetry in all mode).
     """
     if cfg is None:
         cfg = SearchConfig()
-    verdict = feasible_ground_size(g)
-    if not verdict.feasible:
+    m = feasible_ground_size(g)
+    if m is None:
         return _no_labeling(None, f"edge count {len(g.edges)} is not 2^m - 1 for any m")
-    m = verdict.m
     check_ground_size(m)
     n = g.n
 
@@ -239,7 +237,7 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     if n > 1 << m:
         # Too few labels for distinct vertex labels.  Answer before building
         # per-vertex state, whose size only the vertex count bounds.
-        return _no_labeling(m)
+        return _no_labeling(m, f"more vertices ({n}) than labels ({1 << m})")
     pair = parity_obstruction(g, m)
     if pair is not None:
         return _no_labeling(m, f"vertices {pair[0]} and {pair[1]} are the only odd-degree "
@@ -247,7 +245,7 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     return _tree_search(g, m, cfg)
 
 
-def _no_labeling(m: int | None, reason: str | None = None) -> SearchOutcome:
+def _no_labeling(m: int | None, reason: str) -> SearchOutcome:
     """A closed-form exit's outcome: no labeling, and no node explored."""
     return SearchOutcome(m, 0, 0, (), 0, True, reason)
 

@@ -186,6 +186,22 @@ def test_search_parity_reports_m_and_reason(capsys, tmp_path):
     assert "vertices 0 and 15" in payload["reason"]
 
 
+def test_search_too_many_vertices_reports_m_and_reason(capsys, tmp_path):
+    # A triangle has 3 = 2^2 - 1 edges, but five vertices cannot get four labels.
+    gpath = tmp_path / "tri5.graph"
+    gpath.write_text("vertices 5\n0 1\n1 2\n0 2\n")
+    code, out, _ = run(capsys, "search", str(gpath))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1:3] == ["m=2", "no labeling: more vertices (5) than labels (4)"]
+    assert "nodes_explored=0" in lines
+    code, out, _ = run(capsys, "search", str(gpath), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["m"], payload["reason"], payload["nodes_explored"]) == (
+        2, "more vertices (5) than labels (4)", 0)
+
+
 def test_search_emit_first_revalidates(capsys, tmp_path, star_files):
     gpath, _ = star_files
     wpath = tmp_path / "witness.lab"
@@ -377,6 +393,13 @@ def test_theorem_builds_each_trace_once(capsys, monkeypatch):
 def test_theorem_bad_m_exits_2(capsys):
     code, _, err = run(capsys, "theorem", "--m", "0")
     assert code == 2
+
+
+def test_theorem_without_m_is_an_argparse_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --m" in capsys.readouterr().err
 
 
 def test_theorem_json(capsys):

@@ -1,4 +1,4 @@
-"""The labeling function, the validator, translation, and edge preimages."""
+"""The labeling function, the validator, translation invariance, and labeling files."""
 
 import io
 import itertools
@@ -12,15 +12,12 @@ from setgraceful.labeling import (
     Labeling,
     LabelingParseError,
     edge_labels,
-    edge_preimage,
     is_set_graceful,
-    normalize_anchor,
     read_labeling,
-    translate,
     validate,
     write_labeling,
 )
-from setgraceful.labels import format_label, parse_label
+from setgraceful.labels import parse_label
 
 K2 = make_complete_bipartite(1, 1)
 
@@ -130,7 +127,6 @@ def test_validate_matches_definition(pair):
 
 
 STAR = make_complete_bipartite(1, 3)
-STAR_LABELING = Labeling(2, (0, 1, 2, 3))
 
 
 @st.composite
@@ -192,21 +188,14 @@ def test_is_set_graceful_edge_cases():
 
 @pytest.mark.parametrize("call", [
     lambda s: parse_label(str(s), 2),
-    lambda s: format_label(s, 2),
-    lambda s: translate(STAR_LABELING, s),
-    lambda s: edge_preimage(STAR, STAR_LABELING, s),
-], ids=["parse_label", "format_label", "translate", "edge_preimage"])
+], ids=["parse_label"])
 def test_label_range_boundaries(call):
     # m = 2: labels run from 0 to 3; -1 and 4 fall outside on either side.
     for s in (-1, 4):
         with pytest.raises(ValueError, match=f"label {s} out of range for ground size m=2"):
             call(s)
-    call(3)
-    try:
-        call(0)
-    except ValueError as exc:
-        # 0 is in range; only edge_preimage refuses it, as the empty label.
-        assert str(exc) == "empty label has no edge"
+    assert call(0) == 0
+    assert call(3) == 3
 
 
 def test_validate_wrong_size_fails_by_counting():
@@ -223,19 +212,9 @@ def test_validate_single_vertex_m0():
 
 def test_translate_k2_example():
     f = Labeling(1, (0, 1))
-    g = translate(f, 1)
+    g = Labeling(1, tuple(v ^ 1 for v in f.values))
     assert g.values == (1, 0)
     assert edge_labels(K2, g) == edge_labels(K2, f)
-
-
-def test_translate_by_zero_is_identity():
-    f = Labeling(3, (1, 2, 4))
-    assert translate(f, 0) == f
-
-
-def test_translate_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        translate(Labeling(1, (0, 1)), 2)
 
 
 @given(small_graph_and_labeling())
@@ -246,34 +225,20 @@ def test_translation_properties(pair):
         # A valid labeling pins the edge count to the universe size.
         assert len(g.edges) == universe - 1
     for a in range(universe):
-        moved = translate(f, a)
+        # Translation by a: XOR every vertex label with a.
+        moved = Labeling(f.m, tuple(v ^ a for v in f.values))
         assert edge_labels(g, moved) == edge_labels(g, f)
-        assert translate(moved, a) == f
+        assert tuple(v ^ a for v in moved.values) == f.values
         assert validate(g, moved).valid == validate(g, f).valid
 
 
-def test_normalize_anchor_xor_arithmetic():
-    f = Labeling(2, (1, 2))
-    g = normalize_anchor(f, 0)
-    assert g.values == (0, 3)
-
-
-def test_normalize_anchor_noop_when_already_empty():
-    f = Labeling(2, (0, 3))
-    assert normalize_anchor(f, 0) == f
-
-
-def test_normalize_anchor_bad_vertex():
-    with pytest.raises(ValueError):
-        normalize_anchor(Labeling(1, (0, 1)), 2)
-
-
 def test_normalize_anchor_preserves_validity():
+    # Any vertex can be moved to the empty label, as the search's anchor is.
     g = make_complete_bipartite(1, 3)
     f = Labeling(2, (2, 3, 0, 1))
     assert validate(g, f).valid
     for v0 in range(4):
-        anchored = normalize_anchor(f, v0)
+        anchored = Labeling(2, tuple(v ^ f.values[v0] for v in f.values))
         assert anchored.values[v0] == 0
         assert validate(g, anchored).valid
 
@@ -285,42 +250,19 @@ def test_counting_invariant_valid_means_edge_count_matches():
     assert len(g.edges) == 2**f.m - 1
 
 
-def test_edge_preimage_star():
-    g = make_complete_bipartite(1, 3)
-    f = Labeling(2, (0, 1, 2, 3))
-    assert edge_preimage(g, f, 3) == (0, 3)
-
-
-def test_edge_preimage_triangle():
-    g = make_cycle(3)
-    f = Labeling(2, (0, 1, 2))
-    assert edge_preimage(g, f, 3) == (1, 2)
-
-
-def test_edge_preimage_rejects_empty_label():
-    g = make_complete_bipartite(1, 3)
-    with pytest.raises(ValueError, match="empty label"):
-        edge_preimage(g, Labeling(2, (0, 1, 2, 3)), 0)
-
-
-def test_edge_preimage_rejects_invalid_labeling():
-    with pytest.raises(ValueError, match="not set-graceful"):
-        edge_preimage(K2, Labeling(1, (1, 1)), 1)
-
-
 def test_edge_preimage_totality():
+    # A valid labeling puts every nonempty label on exactly one edge.
     g = make_cycle(3)
     f = Labeling(2, (0, 1, 2))
-    hit = [edge_preimage(g, f, s) for s in range(1, 4)]
-    assert sorted(hit) == list(g.edges)
+    assert validate(g, f).valid
+    assert sorted(edge_labels(g, f)) == [1, 2, 3]
 
 
 def test_read_labeling_roundtrip_styles():
     f = Labeling(3, (0, 5, 7, 2))
-    for style in ("int", "binary"):
-        buf = io.StringIO()
-        write_labeling(f, buf, style=style)
-        assert read_labeling(io.StringIO(buf.getvalue())) == f
+    buf = io.StringIO()
+    write_labeling(f, buf)
+    assert read_labeling(io.StringIO(buf.getvalue())) == f
 
 
 def test_read_labeling_mixed_formats():

@@ -1,49 +1,61 @@
-"""Bit-vector label encoding: symmetric difference, parsing, formatting."""
+"""Bit-vector label encoding: symmetric difference as the edge label, parsing,
+and the decimal form labeling files are written in."""
+
+import io
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setgraceful.labels import (
-    MAX_GROUND_SIZE,
-    check_ground_size,
-    format_label,
-    parse_label,
-    sym_diff,
-)
+from setgraceful.graph import Graph, make_path
+from setgraceful.labeling import Labeling, edge_labels, write_labeling
+from setgraceful.labels import MAX_GROUND_SIZE, check_ground_size, parse_label
+
+K2 = Graph(2, ((0, 1),))
 
 labels_with_m = st.integers(0, 10).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1), st.integers(0, (1 << m) - 1))
 )
 
 
+def sym_diff(m, a, b):
+    """The symmetric difference of labels a and b, as the label of an edge between them."""
+    (label,) = edge_labels(K2, Labeling(m, (a, b)))
+    return label
+
+
 def test_sym_diff_elementwise():
-    assert sym_diff(0b011, 0b110) == 0b101
+    assert sym_diff(3, 0b011, 0b110) == 0b101
 
 
 def test_sym_diff_self_cancels():
-    assert sym_diff(13, 13) == 0
+    assert sym_diff(4, 13, 13) == 0
 
 
 def test_sym_diff_identity_element():
-    assert sym_diff(9, 0) == 9
+    # An endpoint at the empty label passes the other endpoint's label to the edge.
+    assert sym_diff(4, 9, 0) == 9
 
 
 @given(labels_with_m)
 def test_sym_diff_commutative(t):
-    _, a, b = t
-    assert sym_diff(a, b) == sym_diff(b, a)
+    m, a, b = t
+    assert sym_diff(m, a, b) == sym_diff(m, b, a)
 
 
 @given(st.integers(0, 2**20), st.integers(0, 2**20), st.integers(0, 2**20))
 def test_sym_diff_associative(a, b, c):
-    assert sym_diff(sym_diff(a, b), c) == sym_diff(a, sym_diff(b, c))
+    # Along the path a - b - c the middle label cancels: the two edge labels
+    # combine to the symmetric difference of the end labels.
+    ab, bc = edge_labels(make_path(3), Labeling(21, (a, b, c)))
+    assert ab ^ bc == sym_diff(21, a, c)
 
 
 @given(labels_with_m)
 def test_sym_diff_zero_iff_equal(t):
-    _, a, b = t
-    assert (sym_diff(a, b) == 0) == (a == b)
+    # So distinct vertex labels never give an edge the empty label.
+    m, a, b = t
+    assert (sym_diff(m, a, b) == 0) == (a == b)
 
 
 def test_parse_binary():
@@ -51,7 +63,7 @@ def test_parse_binary():
 
 
 def test_parse_bare_padded_binary():
-    # The zero-padded form format_label emits reads back as binary.
+    # A bare string of exactly m binary digits reads as zero-padded binary.
     assert parse_label("101", 3) == 5
     assert parse_label("0010", 4) == 2
     assert parse_label("0011", 4) == 3
@@ -74,28 +86,16 @@ def test_parse_rejects_garbage(bad):
         parse_label(bad, 4)
 
 
-def test_format_binary_padded():
-    assert format_label(5, 3, "binary") == "101"
-    assert format_label(1, 4, "binary") == "0001"
-
-
-def test_format_set_notation():
-    assert format_label(0, 2, "set") == "{}"
-    assert format_label(5, 3, "set") == "{x0,x2}"
-
-
 def test_format_int():
-    assert format_label(7, 3, "int") == "7"
+    buf = io.StringIO()
+    write_labeling(Labeling(3, (7, 0)), buf)
+    assert buf.getvalue() == "m 3\n0 7\n1 0\n"
 
 
 def test_format_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        format_label(8, 3, "int")
-
-
-def test_format_rejects_unknown_style():
-    with pytest.raises(ValueError):
-        format_label(1, 3, "hex")
+    # The writer prints values as they are: Labeling has range-checked them.
+    with pytest.raises(ValueError, match="label 8 at vertex 0 out of range"):
+        write_labeling(Labeling(3, (8,)), io.StringIO())
 
 
 @given(st.integers(0, MAX_GROUND_SIZE).flatmap(
@@ -103,8 +103,8 @@ def test_format_rejects_unknown_style():
 ))
 def test_parse_format_roundtrip(t):
     m, v = t
-    assert parse_label(format_label(v, m, "int"), m) == v
-    assert parse_label(format_label(v, m, "binary"), m) == v
+    assert parse_label(str(v), m) == v
+    assert parse_label(format(v, f"0{max(m, 1)}b"), m) == v
 
 
 def test_ground_size_cap():

@@ -78,7 +78,8 @@ def test_search_matches_oracle_with_parity_check(case):
             assert walked.exhausted
             assert walked.count_raw == 0
         elif pair is None:
-            assert count.reason is None
+            # Without the parity pair, only too many vertices decide g in closed form.
+            assert (count.reason is None) == (g.n <= 1 << m)
     assert len(firsts) == 1
 
 
@@ -97,16 +98,16 @@ def test_edge_cases_match_oracle():
     # K_2 (m = 1, two odd-degree vertices, 2 labelings), K_2 plus an isolated
     # vertex (three vertices, two labels), and the m = 0 graphs.
     cases = [
-        (make_path(2), 2),
-        (Graph(3, ((0, 1),)), 0),
-        (Graph(0, ()), 1),
-        (Graph(1, ()), 1),
-        (Graph(2, ()), 0),
+        (make_path(2), 2, None),
+        (Graph(3, ((0, 1),)), 0, "more vertices (3) than labels (2)"),
+        (Graph(0, ()), 1, None),
+        (Graph(1, ()), 1, None),
+        (Graph(2, ()), 0, "more vertices (2) than labels (1)"),
     ]
-    for g, expected in cases:
-        m = feasible_ground_size(g).m
+    for g, expected, reason in cases:
+        m = feasible_ground_size(g)
         assert len(brute_force_enumerate(g, m)) == expected
         for sym in SYMMETRIES:
             outcome = search(g, SearchConfig(mode="count", symmetry=sym))
-            assert (outcome.m, outcome.count_raw, outcome.reason) == (m, expected, None)
+            assert (outcome.m, outcome.count_raw, outcome.reason) == (m, expected, reason)
             assert outcome.exhausted

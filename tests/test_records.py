@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from setgraceful.conditions import FeasibilityVerdict, ProofStep, ProofTrace, StarDecision
+from setgraceful.conditions import ProofStep, ProofTrace, StarDecision
 from setgraceful.graph import Bipartition, Graph
 from setgraceful.labeling import Labeling, ValidationReport
 from setgraceful.record import Record
@@ -28,7 +28,6 @@ CASES = [
      "ValidationReport(vertex_injective=True, vertex_witness=None, edge_injective=True, "
      "edge_witness=None, covers_all_nonempty=True, missing_label=None, empty_edge=None, "
      "valid=True)"),
-    (FeasibilityVerdict, (True, 3), (False, None), "FeasibilityVerdict(feasible=True, m=3)"),
     (StarDecision, ("star-admits", 3), ("non-star-impossible", 3),
      "StarDecision(kind='star-admits', m=3)"),
     (ProofStep, STEP, ("EmptyExcluded",) + STEP[1:],
@@ -146,7 +145,6 @@ def test_keyword_and_default_construction():
     assert outcome == SearchOutcome(3, 0, 0, (), 0, True, reason=None)
     assert ProofTrace(p=3, q=5, m=4, steps=()) == ProofTrace(3, 5, 4, ())
     assert StarDecision(kind="k", m=None) == StarDecision("k", None)
-    assert FeasibilityVerdict(feasible=False, m=None) == FeasibilityVerdict(False, None)
     assert Bipartition(q_side=frozenset(), p_side=frozenset({0})).p_side == frozenset({0})
     fields = dict(zip(
         ("vertex_injective", "vertex_witness", "edge_injective", "edge_witness",

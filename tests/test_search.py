@@ -207,7 +207,7 @@ def test_more_vertices_than_labels_answers_without_search():
     assert outcome.count_raw == 0
     assert outcome.exhausted
     assert outcome.nodes_explored == 0
-    assert outcome.reason is None
+    assert outcome.reason == "more vertices (10000000) than labels (2)"
 
 
 def test_config_rejects_unknown_symmetry():
