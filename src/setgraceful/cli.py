@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--mode", choices=list(MODES), default="count")
     p_search.add_argument("--node-limit", type=int, default=None)
     p_search.add_argument("--no-symmetry", action="store_true",
-                          help="disable symmetry breaking (affine-orbit canonical labelings)")
+                          help="disable affine symmetry breaking in first and count mode")
     p_search.add_argument("--emit", help="write witnesses as labeling files to this path")
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=cmd_search)

@@ -50,9 +50,6 @@ class Labeling(Record):
         set_field(self, "m", m)
         set_field(self, "values", values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 class ValidationReport(Record):
     """Structured verdict of the set-graceful predicate.

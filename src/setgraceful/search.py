@@ -26,11 +26,10 @@ explores every labeling.  The three settings differ only in the anchor's
 candidate mask and in the per-dimension candidate caps, and candidates are
 tried in ascending order, so the canonical labelings are visited in the
 same order as under translation: the first witness and the counts agree,
-and affine never explores more nodes.  All mode returns every labeling,
-and each canonical one stands for an orbit of 2**m * |GL(m,2)| of them, so
-a node limit would not bound the list; all mode therefore searches with
-translation symmetry whenever symmetry is on, and its witnesses, counts and
-node counts are those of ``symmetry="translation"``.
+and affine never explores more nodes.  The setting applies to first and
+count mode.  All mode returns every labeling, so it always explores every
+labeling as ``symmetry="none"`` does; each witness costs at least one node,
+so the list never exceeds the node limit.
 
 Closed-form exits: before it builds any per-vertex state, `search`
 answers without exploring a node when the edge count is not 2**m - 1 for
@@ -40,9 +39,9 @@ XOR of all edge labels is 0, so those two vertices would need the same
 label).  Each of these records its reason in the outcome.
 
 Determinism: the search runs on one thread along one code path.  Candidate
-labels are tried in ascending numeric order and all-mode witnesses are
-sorted by their label sequence in vertex order, so a given graph and config
-always yield the same outcome, node count included.
+labels are tried in ascending numeric order, so all-mode witnesses come out
+sorted by their label sequence in vertex order, and a given graph and
+config always yield the same outcome, node count included.
 """
 
 from __future__ import annotations
@@ -81,10 +80,11 @@ class SearchOutcome(Record):
     at its first hit, so its counts cover only what was found: the whole
     symmetry orbit of the witness (2**m * |GL(m,2)| raw and |GL(m,2)|
     anchored under affine symmetry, 2**m and 1 under translation).  All
-    mode always searches with translation symmetry when symmetry is on.
-    count_anchored counts the labelings with the anchor at the empty label,
-    which is count_raw / 2**m whenever symmetry is on.  reason is set
-    exactly when a closed form ruled out every labeling without search.
+    mode ignores the symmetry setting and lists every labeling, never more
+    than node_limit of them.  count_anchored counts the labelings with the
+    anchor at the empty label, which is count_raw / 2**m whenever symmetry
+    is on.  reason is set exactly when a closed form ruled out every
+    labeling without search.
     m is None only for graphs whose edge count rules out every ground size;
     m is set when there are more vertices than labels, and when the parity
     condition applies, whose reason names the two odd-degree vertices.
@@ -217,8 +217,8 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     than labels, and, for m >= 2, exactly two odd-degree vertices
     (`conditions.parity_obstruction`; the reason names the two).
     Otherwise the engine explores every injective assignment compatible with
-    the occupancy bitsets, one per orbit of cfg.symmetry (of translation
-    symmetry in all mode).
+    the occupancy bitsets, one per orbit of cfg.symmetry (every one in all
+    mode).
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -272,14 +272,13 @@ def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:
         else:
             back[i].append(j)
 
-    sym = cfg.symmetry
+    # All mode walks the whole tree: the walk meets each labeling once, in
+    # sorted order, and each witness costs at least one node.
+    sym = "none" if cfg.mode == "all" else cfg.symmetry
     # With symmetry on, the anchor is pinned to the empty label.  Affine
-    # symmetry also caps each label at the next basis vector 2**d, except in
-    # all mode: there every canonical labeling would expand to 2**m *
-    # |GL(m,2)| witnesses however few nodes the limit allows, so all mode
-    # searches under translation symmetry and returns the same list.
+    # symmetry also caps each label at the next basis vector 2**d.
     first = full if sym == "none" else 1
-    if sym == "affine" and cfg.mode != "all":
+    if sym == "affine":
         caps = [(2 << (1 << d)) - 1 for d in range(m)] + [full]
         linear = _gl_order(m)
     else:
@@ -293,14 +292,8 @@ def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:
     count_raw = count * translations * linear
     count_anchored = anchored * linear
 
-    tuples = wit_tuples
-    if cfg.mode == "all":
-        if sym != "none":
-            # Expand each anchored representative to its full translation orbit.
-            tuples = [tuple(x ^ t for x in w) for w in wit_tuples for t in range(universe)]
-        tuples.sort()
     witnesses = []
-    for w in tuples:
+    for w in wit_tuples:
         vals = [0] * n
         for i, lab in enumerate(w):
             vals[order[i]] = lab

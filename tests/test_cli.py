@@ -251,6 +251,18 @@ def test_search_no_symmetry_same_count_more_nodes(capsys, tmp_path):
     assert "nodes_explored=23584" in off.splitlines()
 
 
+def test_search_all_mode_ignores_no_symmetry(capsys, tmp_path):
+    # All mode walks the whole tree either way, so the flag changes nothing.
+    gpath = tmp_path / "k17.graph"
+    run(capsys, "gen", "--type", "star", "--q", "7", "--out", str(gpath))
+    code, on, _ = run(capsys, "search", str(gpath), "--mode", "all", "--json")
+    assert code == 0
+    code, off, _ = run(capsys, "search", str(gpath), "--mode", "all", "--json", "--no-symmetry")
+    assert code == 0
+    assert on == off
+    assert json.loads(on)["nodes_explored"] == 109_600
+
+
 def test_search_emit_with_count_mode_rejected(capsys, star_files, tmp_path):
     gpath, _ = star_files
     code, _, err = run(capsys, "search", str(gpath), "--emit", str(tmp_path / "x.lab"))

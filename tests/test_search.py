@@ -154,8 +154,12 @@ def test_pinned_node_counts():
     translation = SearchConfig(symmetry="translation")
     assert _tree_search(make_path(8), 3, translation).nodes_explored == 3_284
     assert search(make_path(8), translation).nodes_explored == 0
+    # All mode walks the whole tree.  On K_{1,7} nothing is pruned: each of
+    # the 8 centre labels is one node, and below it every partial assignment
+    # of the 7 leaves to the 7 free labels is one, so the tree has
+    # 8 * (1 + sum(7!/(7-i)! for i in 1..7)) = 8 * 13_700 nodes.
     star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all", symmetry="translation"))
-    assert star.nodes_explored == 13_700
+    assert star.nodes_explored == 109_600
 
 
 def test_node_limit_larger_than_tree_is_harmless():
@@ -274,21 +278,27 @@ def test_affine_pinned_node_counts():
     assert "vertices 0 and 7" in p8.reason
 
 
-def test_all_mode_searches_with_translation_symmetry():
-    # All mode lists every labeling, so it keeps the translation tree and
-    # its node count even when affine symmetry is set.
+def test_all_mode_walks_the_whole_tree():
+    # All mode lists every labeling, so every symmetry setting walks the
+    # tree of symmetry="none" (8 * 13_700 nodes, see test_pinned_node_counts).
     g = make_complete_bipartite(1, 7)
     star = search(g, SearchConfig(mode="all"))
     assert star == search(g, SearchConfig(mode="all", symmetry="translation"))
-    assert star.nodes_explored == 13_700
+    assert star == search(g, SearchConfig(mode="all", symmetry="none"))
+    assert star.nodes_explored == 109_600
     assert len(star.witnesses) == star.count_raw == 40_320
 
 
 def test_all_mode_node_limit_bounds_witnesses():
-    limited = search(make_complete_bipartite(1, 15), SearchConfig(mode="all", node_limit=1000))
-    assert not limited.exhausted
-    assert limited.nodes_explored == 1000
-    assert 0 < len(limited.witnesses) == limited.count_raw < 20_000
+    # Each witness costs at least one node.  Here the centre takes label 0
+    # (1 node) and the remaining 999 nodes walk the leaves' permutation tree
+    # depth first, reaching `found` complete assignments.
+    for q, found in ((15, 363), (63, 346)):
+        limited = search(make_complete_bipartite(1, q), SearchConfig(mode="all", node_limit=1000))
+        assert not limited.exhausted
+        assert limited.nodes_explored == 1000
+        assert len(limited.witnesses) == limited.count_raw <= limited.nodes_explored
+        assert limited.count_raw == found
 
 
 def test_affine_node_limit_stops_early():
