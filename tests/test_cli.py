@@ -134,6 +134,20 @@ def test_check_json_keys(capsys, star_files):
     }
 
 
+def test_search_json_keys(capsys, star_files):
+    gpath, _ = star_files
+    code, out, _ = run(capsys, "search", str(gpath), "--json")
+    assert code == 0
+    assert out.count("\n") == 1  # one compact object
+    assert set(json.loads(out)) == {
+        "m", "count_raw", "nodes_explored", "exhausted", "reason", "witnesses", "emitted", "graph",
+    }
+    code, out, _ = run(capsys, "search", str(gpath))
+    assert code == 0
+    assert "count_raw=24\n" in out
+    assert "count_anchored=" not in out
+
+
 def test_search_count_star(capsys, star_files):
     gpath, _ = star_files
     code, out, _ = run(capsys, "search", str(gpath))
@@ -277,7 +291,6 @@ def test_search_json_mirror(capsys, star_files):
     payload = json.loads(out)
     assert payload["m"] == 2
     assert payload["count_raw"] == 24
-    assert payload["count_anchored"] == 6
     assert payload["exhausted"] is True
 
 
@@ -343,10 +356,8 @@ def test_theorem_disagreement_outranks_node_limit(capsys, monkeypatch):
     # K_{1,3} comes back exhausted with no labeling, a disagreement, and
     # K_{3,1} comes back stopped by the limit: the run is negative, not limited.
     outcomes = iter([
-        SearchOutcome(m=2, count_raw=0, count_anchored=0, witnesses=(),
-                      nodes_explored=5, exhausted=True),
-        SearchOutcome(m=2, count_raw=0, count_anchored=0, witnesses=(),
-                      nodes_explored=5, exhausted=False),
+        SearchOutcome(m=2, count_raw=0, witnesses=(), nodes_explored=5, exhausted=True),
+        SearchOutcome(m=2, count_raw=0, witnesses=(), nodes_explored=5, exhausted=False),
     ])
     # The CLI imports search when the command runs, so the module's name is patched.
     monkeypatch.setattr(search_module, "search", lambda g, cfg: next(outcomes))

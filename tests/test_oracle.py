@@ -9,7 +9,7 @@ import pytest
 
 from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
 from setgraceful.labeling import Labeling, validate
-from setgraceful.oracle import EnumerationCapError, brute_force_enumerate
+from setgraceful.oracle import CAP, EnumerationCapError, brute_force_enumerate
 
 
 def test_k2_both_bijections():
@@ -41,8 +41,9 @@ def test_inconsistent_m_yields_empty():
 def test_cap_refusal_reports_size():
     g = make_complete_bipartite(3, 5)
     with pytest.raises(EnumerationCapError) as exc:
-        brute_force_enumerate(g, 4, cap=1000)
+        brute_force_enumerate(g, 4)
     assert exc.value.size == 518918400  # 16!/8!
+    assert exc.value.cap == CAP
 
 
 def test_omitted_assignments_really_fail():

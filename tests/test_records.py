@@ -36,9 +36,9 @@ CASES = [
     (ProofTrace, (3, 5, 4, ()), (5, 3, 4, ()), "ProofTrace(p=3, q=5, m=4, steps=())"),
     (SearchConfig, ("first", "none", 10), ("all", "none", 10),
      "SearchConfig(mode='first', symmetry='none', node_limit=10)"),
-    (SearchOutcome, (3, 8, 1, (), 5, True, None), (3, 8, 1, (), 6, True, None),
-     "SearchOutcome(m=3, count_raw=8, count_anchored=1, witnesses=(), nodes_explored=5, "
-     "exhausted=True, reason=None)"),
+    (SearchOutcome, (3, 8, (), 5, True, None), (3, 8, (), 6, True, None),
+     "SearchOutcome(m=3, count_raw=8, witnesses=(), nodes_explored=5, exhausted=True, "
+     "reason=None)"),
 ]
 # A proof step holds its numbers in a dict, so steps and traces of steps are unhashable.
 UNHASHABLE = {ProofStep}
@@ -139,10 +139,9 @@ def test_keyword_and_default_construction():
     assert Labeling(m=2, values=[3, 0]).values == (3, 0)
     assert SearchConfig() == SearchConfig("count", "affine", None)
     assert SearchConfig(node_limit=7) == SearchConfig("count", "affine", 7)
-    outcome = SearchOutcome(m=3, count_raw=0, count_anchored=0, witnesses=(),
-                            nodes_explored=0, exhausted=True)
+    outcome = SearchOutcome(m=3, count_raw=0, witnesses=(), nodes_explored=0, exhausted=True)
     assert outcome.reason is None
-    assert outcome == SearchOutcome(3, 0, 0, (), 0, True, reason=None)
+    assert outcome == SearchOutcome(3, 0, (), 0, True, reason=None)
     assert ProofTrace(p=3, q=5, m=4, steps=()) == ProofTrace(3, 5, 4, ())
     assert StarDecision(kind="k", m=None) == StarDecision("k", None)
     assert Bipartition(q_side=frozenset(), p_side=frozenset({0})).p_side == frozenset({0})

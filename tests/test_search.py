@@ -59,7 +59,6 @@ def test_symmetry_off_matches_on(name, g, m):
     on = search(g, SearchConfig(mode="count"))
     off = search(g, SearchConfig(mode="count", symmetry="none"))
     assert on.count_raw == off.count_raw
-    assert on.count_anchored == off.count_anchored
     # Anchoring prunes the root fan-out, never adds work.
     assert on.nodes_explored <= off.nodes_explored
 
@@ -68,7 +67,6 @@ def test_symmetry_off_matches_on(name, g, m):
 def test_count_divisible_by_universe(name, g, m):
     outcome = search(g, SearchConfig(mode="count", symmetry="none"))
     assert outcome.count_raw % (1 << m) == 0
-    assert outcome.count_raw == outcome.count_anchored * (1 << m)
 
 
 def test_pinned_counts():
@@ -82,7 +80,7 @@ def test_pinned_counts():
 
 def test_star_m3_anchored_identity():
     outcome = search(make_complete_bipartite(1, 7))
-    assert outcome.count_anchored == 5040
+    assert outcome.exhausted
     assert outcome.count_raw == 5040 * 8 == 40320
 
 
@@ -183,7 +181,6 @@ def test_single_vertex_graph():
         outcome = search(Graph(1, ()), SearchConfig(symmetry=sym))
         assert outcome.m == 0
         assert outcome.count_raw == 1
-        assert outcome.count_anchored == 1
         assert outcome.nodes_explored == 1
 
 
@@ -239,7 +236,7 @@ def test_affine_p16_has_no_labeling():
     outcome = search(make_path(16), cfg)
     assert outcome.m == 4
     assert outcome.exhausted
-    assert outcome.count_raw == outcome.count_anchored == 0
+    assert outcome.count_raw == 0
     assert outcome.witnesses == ()
     assert outcome.nodes_explored == 0
     assert "vertices 0 and 15" in outcome.reason
@@ -255,7 +252,6 @@ def test_affine_c15_count():
     outcome = search(make_cycle(15), SearchConfig(mode="count"))
     assert outcome.exhausted
     assert outcome.count_raw == 1_117_347_840 == 3_464 * 322_560
-    assert outcome.count_anchored == 3_464 * 20_160
     assert outcome.nodes_explored == 278_627
 
 
@@ -266,8 +262,8 @@ def test_affine_c15_first_matches_translation_witness():
     assert affine.nodes_explored == 4_831
     assert affine.witnesses[0].values == translation.witnesses[0].values == witness
     # First-mode counts cover the witness's whole orbit.
-    assert (affine.count_raw, affine.count_anchored) == (322_560, 20_160)
-    assert (translation.count_raw, translation.count_anchored) == (16, 1)
+    assert affine.count_raw == 322_560
+    assert translation.count_raw == 16
 
 
 def test_affine_pinned_node_counts():
