@@ -174,11 +174,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.emit and args.mode == "count":
         return _fail("--emit needs --mode first or --mode all (count keeps no witnesses)")
     try:
-        cfg = SearchConfig(
-            mode=args.mode,
-            symmetry="none" if args.no_symmetry else "affine",
-            node_limit=args.node_limit,
-        )
+        cfg = SearchConfig(mode=args.mode, node_limit=args.node_limit)
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -204,7 +200,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             print(f"m={outcome.m}")
             if outcome.reason is not None:
                 print(f"no labeling: {outcome.reason}")
-        print(f"mode={args.mode} symmetry={'off' if args.no_symmetry else 'on'}")
+        print(f"mode={args.mode}")
         print(f"count_raw={outcome.count_raw}")
         print(f"nodes_explored={outcome.nodes_explored}")
         print(f"exhausted={'yes' if outcome.exhausted else 'no'}")
@@ -353,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("graph", help="graph file")
     p_search.add_argument("--mode", choices=list(MODES), default="count")
     p_search.add_argument("--node-limit", type=int, default=None)
-    p_search.add_argument("--no-symmetry", action="store_true",
-                          help="disable affine symmetry breaking in first and count mode")
     p_search.add_argument("--emit", help="write witnesses as labeling files to this path")
     p_search.add_argument("--json", action="store_true")
     p_search.set_defaults(func=cmd_search)

@@ -12,24 +12,19 @@ structure of its labels, so every affine map x -> Mx xor t of GF(2)**m (M
 invertible) sends set-graceful labelings to set-graceful labelings.  The
 labels of a set-graceful labeling span GF(2)**m, so the action of the
 affine group AGL(m,2) is free and every orbit has 2**m * |GL(m,2)|
-members, where |GL(m,2)| = prod_{i<m} (2**m - 2**i).  With
-``symmetry="affine"`` (the default) the engine visits one labeling per
-orbit, the canonical one: the anchor (first vertex in order) carries the
-empty label, and every later label either lies in the span of the labels
-before it, which is {0, ..., 2**d - 1} for some d, or is exactly the next
-basis vector 2**d.  This is the lexicographically smallest member of its
-orbit in vertex order (orderly generation, McKay 1998).  Raw counts are
-canonical counts times 2**m * |GL(m,2)|.  ``symmetry="translation"`` uses
-only the XOR translations: the anchor is pinned to 0, orbits have size
-2**m and raw counts are the counts found times 2**m.  ``symmetry="none"``
-explores every labeling.  The three settings differ only in the anchor's
-candidate mask and in the per-dimension candidate caps, and candidates are
-tried in ascending order, so the canonical labelings are visited in the
-same order as under translation: the first witness and the counts agree,
-and affine never explores more nodes.  The setting applies to first and
-count mode.  All mode returns every labeling, so it always explores every
-labeling as ``symmetry="none"`` does; each witness costs at least one node,
-so the list never exceeds the node limit.
+members, where |GL(m,2)| = prod_{i<m} (2**m - 2**i).  The mode decides how
+the engine uses that group:
+
+- First and count mode visit one labeling per orbit, the canonical one:
+  the anchor (first vertex in order) carries the empty label, and every
+  later label either lies in the span of the labels before it, which is
+  {0, ..., 2**d - 1} for some d, or is exactly the next basis vector 2**d.
+  This is the lexicographically smallest member of its orbit in vertex
+  order (orderly generation, McKay 1998).  Raw counts are canonical counts
+  times 2**m * |GL(m,2)|.
+- All mode returns every labeling, so it walks the whole tree with no
+  symmetry breaking; each witness costs at least one node, so the list
+  never exceeds the node limit.
 
 Closed-form exits: before it builds any per-vertex state, `search`
 answers without exploring a node when the edge count is not 2**m - 1 for
@@ -52,23 +47,15 @@ from setgraceful.labeling import Labeling
 from setgraceful.labels import MODES, check_ground_size
 from setgraceful.record import Record, set_field
 
-SYMMETRIES = ("affine", "translation", "none")
-
-
 class SearchConfig(Record):
-    __slots__ = ("mode", "symmetry", "node_limit")
+    __slots__ = ("mode", "node_limit")
 
-    def __init__(
-        self, mode: str = "count", symmetry: str = "affine", node_limit: int | None = None
-    ) -> None:
+    def __init__(self, mode: str = "count", node_limit: int | None = None) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if symmetry not in SYMMETRIES:
-            raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
         if node_limit is not None and node_limit <= 0:
             raise ValueError(f"node_limit must be positive, got {node_limit}")
         set_field(self, "mode", mode)
-        set_field(self, "symmetry", symmetry)
         set_field(self, "node_limit", node_limit)
 
 
@@ -77,12 +64,10 @@ class SearchOutcome(Record):
 
     Counts are exact when the whole tree was explored; a node-limited run
     reports the partial counts found before the limit, and first mode stops
-    at its first hit, so its count covers only what was found: the whole
-    symmetry orbit of the witness (2**m * |GL(m,2)| under affine symmetry,
-    2**m under translation, 1 without symmetry).  All mode ignores the
-    symmetry setting and lists every labeling, never more than node_limit
-    of them.  reason is set exactly when a closed form ruled out every
-    labeling without search.
+    at its first hit, so its count is the witness's affine orbit,
+    2**m * |GL(m,2)|.  All mode lists every labeling, never more than
+    node_limit of them.  reason is set exactly when a closed form ruled out
+    every labeling without search.
     m is None only for graphs whose edge count rules out every ground size;
     m is set when there are more vertices than labels, and when the parity
     condition applies, whose reason names the two odd-degree vertices.
@@ -141,8 +126,8 @@ def _explore(
     The next position's candidates are the free labels in caps[d], where d
     is the bit length of the largest label placed so far.  Under the
     canonical rule the labels placed span {0, ..., 2**d - 1}, so d is the
-    number of basis vectors 1, 2, 4, ... placed; under translation or no
-    symmetry every cap is the full mask and d does not matter.
+    number of basis vectors 1, 2, 4, ... placed; in the whole tree every
+    cap is the full mask and d does not matter.
 
     Returns (solutions, witness tuples in order-space, assignment attempts,
     limit_hit).
@@ -205,13 +190,13 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Find, count, or enumerate the set-graceful labelings of g.
 
     Three closed forms give a zero outcome without search, each with its
-    reason recorded (not an error), in every mode and symmetry setting: an
-    edge count that is not 2**m - 1 for any m (m is None), more vertices
-    than labels, and, for m >= 2, exactly two odd-degree vertices
-    (`conditions.parity_obstruction`; the reason names the two).
+    reason recorded (not an error), in every mode: an edge count that is
+    not 2**m - 1 for any m (m is None), more vertices than labels, and, for
+    m >= 2, exactly two odd-degree vertices (`conditions.parity_obstruction`;
+    the reason names the two).
     Otherwise the engine explores every injective assignment compatible with
-    the occupancy bitsets, one per orbit of cfg.symmetry (every one in all
-    mode).
+    the occupancy bitsets: one per affine orbit in first and count mode,
+    every one in all mode.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -264,24 +249,19 @@ def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:
         else:
             back[i].append(j)
 
-    # All mode walks the whole tree: the walk meets each labeling once, in
-    # sorted order, and each witness costs at least one node.
-    sym = "none" if cfg.mode == "all" else cfg.symmetry
-    # With symmetry on, the anchor is pinned to the empty label.  Affine
-    # symmetry also caps each label at the next basis vector 2**d.
-    first = full if sym == "none" else 1
-    if sym == "affine":
-        caps = [(2 << (1 << d)) - 1 for d in range(m)] + [full]
-        linear = _gl_order(m)
+    if cfg.mode == "all":
+        # The whole tree: the walk meets each labeling once, in sorted
+        # order, and each witness costs at least one node.
+        first, caps, orbit = full, [full] * (m + 1), 1
     else:
-        caps = [full] * (m + 1)
-        linear = 1
+        # The canonical rule: the anchor carries the empty label, and each
+        # label is capped at the next basis vector 2**d.
+        first, caps = 1, [(2 << (1 << d)) - 1 for d in range(m)] + [full]
+        orbit = universe * _gl_order(m)
     count, wit_tuples, nodes, limit_hit = _explore(
         back, caps, first, cfg.mode, cfg.node_limit,
     )
-
-    translations = 1 if sym == "none" else universe
-    count_raw = count * translations * linear
+    count_raw = count * orbit
 
     witnesses = []
     for w in wit_tuples:

@@ -251,30 +251,30 @@ def test_search_emit_unwritable_exits_2(capsys, star_files, tmp_path):
 
 
 def test_search_no_symmetry_same_count_more_nodes(capsys, tmp_path):
+    # All mode walks the whole tree, with no symmetry breaking.
     gpath = tmp_path / "c7.graph"
     run(capsys, "gen", "--type", "cycle", "--n", "7", "--out", str(gpath))
     code, on, _ = run(capsys, "search", str(gpath))
     assert code == 0
-    code, off, _ = run(capsys, "search", str(gpath), "--no-symmetry")
+    code, off, _ = run(capsys, "search", str(gpath), "--mode", "all")
     assert code == 0
     assert "count_raw=2688" in on.splitlines()
     assert "count_raw=2688" in off.splitlines()
-    assert "mode=count symmetry=on" in on.splitlines()
-    assert "mode=count symmetry=off" in off.splitlines()
+    assert "mode=count" in on.splitlines()
+    assert "mode=all" in off.splitlines()
     assert "nodes_explored=21" in on.splitlines()
     assert "nodes_explored=23584" in off.splitlines()
 
 
-def test_search_all_mode_ignores_no_symmetry(capsys, tmp_path):
-    # All mode walks the whole tree either way, so the flag changes nothing.
-    gpath = tmp_path / "k17.graph"
-    run(capsys, "gen", "--type", "star", "--q", "7", "--out", str(gpath))
-    code, on, _ = run(capsys, "search", str(gpath), "--mode", "all", "--json")
-    assert code == 0
-    code, off, _ = run(capsys, "search", str(gpath), "--mode", "all", "--json", "--no-symmetry")
-    assert code == 0
-    assert on == off
-    assert json.loads(on)["nodes_explored"] == 109_600
+def test_search_no_symmetry_is_a_usage_error(capsys, star_files):
+    # The mode decides symmetry, so no flag switches it.
+    gpath, _ = star_files
+    with pytest.raises(SystemExit) as exc:
+        main(["search", str(gpath), "--no-symmetry"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --no-symmetry" in err
 
 
 def test_search_emit_with_count_mode_rejected(capsys, star_files, tmp_path):

@@ -1,5 +1,5 @@
-"""Every public top-level function and class in the package has a caller:
-some module of the package or of perfbench names it outside its own
+"""Every public top-level function, class and constant in the package has a
+caller: some module of the package or of perfbench names it outside its own
 definition.  Tests do not count, so a helper that only its own tests call
 fails here."""
 
@@ -30,6 +30,20 @@ def _names(tree: ast.AST) -> Counter:
     return found
 
 
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds (the package version excepted)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__version__"]
+
+
 def test_every_public_definition_has_a_caller():
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     sources = [path for path in sources if not path.name.startswith("test_")]
@@ -40,11 +54,10 @@ def test_every_public_definition_has_a_caller():
         if path.parent != PACKAGE:
             continue
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_") or node.name in ALLOWED:
-                continue
-            # A definition's references to itself (recursion) are not callers.
-            if used[node.name] - _names(node)[node.name] == 0:
-                unused.append(f"{path.name}:{node.name}")
+            for name in _defined(node):
+                if name.startswith("_") or name in ALLOWED:
+                    continue
+                # A definition's references to itself (recursion) are not callers.
+                if used[name] - _names(node)[name] == 0:
+                    unused.append(f"{path.name}:{name}")
     assert unused == []

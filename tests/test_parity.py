@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from setgraceful.conditions import feasible_ground_size, parity_obstruction
 from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
 from setgraceful.oracle import brute_force_enumerate
-from setgraceful.search import SYMMETRIES, SearchConfig, _tree_search, search
+from setgraceful.search import SearchConfig, _tree_search, search
 
 
 @st.composite
@@ -58,29 +58,27 @@ def test_search_matches_oracle_with_parity_check(case):
         assert pair == (tuple(sorted(ends)) if m >= 2 else None)
     if pair is not None:
         assert oracle == set()
-    firsts = set()
-    for sym in SYMMETRIES:
-        count = search(g, SearchConfig(mode="count", symmetry=sym))
-        assert count.exhausted
-        assert count.count_raw == len(oracle)
-        every = search(g, SearchConfig(mode="all", symmetry=sym))
-        assert {w.values for w in every.witnesses} == oracle
-        first = search(g, SearchConfig(mode="first", symmetry=sym))
-        assert len(first.witnesses) == (1 if oracle else 0)
-        assert {w.values for w in first.witnesses} <= oracle
-        firsts.add(tuple(w.values for w in first.witnesses))
-        if pair is not None and g.n <= 1 << m:
-            for outcome in (count, every, first):
-                assert outcome.m == m
-                assert outcome.nodes_explored == 0
-                assert f"vertices {pair[0]} and {pair[1]} " in outcome.reason
-            walked = _tree_search(g, m, SearchConfig(mode="count", symmetry=sym))
+    count = search(g, SearchConfig(mode="count"))
+    assert count.exhausted
+    assert count.count_raw == len(oracle)
+    every = search(g, SearchConfig(mode="all"))
+    assert {w.values for w in every.witnesses} == oracle
+    first = search(g, SearchConfig(mode="first"))
+    assert len(first.witnesses) == (1 if oracle else 0)
+    assert first.witnesses == every.witnesses[:1]
+    if pair is not None and g.n <= 1 << m:
+        for outcome in (count, every, first):
+            assert outcome.m == m
+            assert outcome.nodes_explored == 0
+            assert f"vertices {pair[0]} and {pair[1]} " in outcome.reason
+        # Below the check, the affine walk and the whole tree both find nothing.
+        for mode in ("count", "all"):
+            walked = _tree_search(g, m, SearchConfig(mode=mode))
             assert walked.exhausted
             assert walked.count_raw == 0
-        elif pair is None:
-            # Without the parity pair, only too many vertices decide g in closed form.
-            assert (count.reason is None) == (g.n <= 1 << m)
-    assert len(firsts) == 1
+    elif pair is None:
+        # Without the parity pair, only too many vertices decide g in closed form.
+        assert (count.reason is None) == (g.n <= 1 << m)
 
 
 def test_parity_obstruction_on_named_graphs():
@@ -107,7 +105,7 @@ def test_edge_cases_match_oracle():
     for g, expected, reason in cases:
         m = feasible_ground_size(g)
         assert len(brute_force_enumerate(g, m)) == expected
-        for sym in SYMMETRIES:
-            outcome = search(g, SearchConfig(mode="count", symmetry=sym))
+        for mode in ("count", "all"):
+            outcome = search(g, SearchConfig(mode=mode))
             assert (outcome.m, outcome.count_raw, outcome.reason) == (m, expected, reason)
             assert outcome.exhausted

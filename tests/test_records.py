@@ -34,8 +34,7 @@ CASES = [
      "ProofStep(kind='NonStarProduct', numbers={'p': 3, 'q': 5, 'product': 8}, "
      "conclusion='8 > 0')"),
     (ProofTrace, (3, 5, 4, ()), (5, 3, 4, ()), "ProofTrace(p=3, q=5, m=4, steps=())"),
-    (SearchConfig, ("first", "none", 10), ("all", "none", 10),
-     "SearchConfig(mode='first', symmetry='none', node_limit=10)"),
+    (SearchConfig, ("first", 10), ("all", 10), "SearchConfig(mode='first', node_limit=10)"),
     (SearchOutcome, (3, 8, (), 5, True, None), (3, 8, (), 6, True, None),
      "SearchOutcome(m=3, count_raw=8, witnesses=(), nodes_explored=5, exhausted=True, "
      "reason=None)"),
@@ -48,7 +47,7 @@ OWN_INIT = {Graph, Labeling, SearchConfig}
 # Every constructor's defaults; the fields not named here are required.
 DEFAULTS = {
     Graph: {"name": None},
-    SearchConfig: {"mode": "count", "symmetry": "affine", "node_limit": None},
+    SearchConfig: {"mode": "count", "node_limit": None},
     SearchOutcome: {"reason": None},
 }
 GENERATED = [case for case in CASES if case[0] not in OWN_INIT]
@@ -137,8 +136,13 @@ def test_keyword_and_default_construction():
     assert Graph(n=2, edges=[(1, 0)]) == Graph(2, K2)
     assert Graph(2, K2).name is None
     assert Labeling(m=2, values=[3, 0]).values == (3, 0)
-    assert SearchConfig() == SearchConfig("count", "affine", None)
-    assert SearchConfig(node_limit=7) == SearchConfig("count", "affine", 7)
+    assert SearchConfig() == SearchConfig("count", None)
+    assert SearchConfig(node_limit=7) == SearchConfig("count", 7)
+    # The mode decides symmetry; no field or keyword selects it.
+    with pytest.raises(TypeError):
+        SearchConfig("count", "affine", None)
+    with pytest.raises(TypeError):
+        SearchConfig(symmetry="none")
     outcome = SearchOutcome(m=3, count_raw=0, witnesses=(), nodes_explored=0, exhausted=True)
     assert outcome.reason is None
     assert outcome == SearchOutcome(3, 0, (), 0, True, reason=None)
@@ -162,8 +166,6 @@ def test_keyword_and_default_construction():
     (lambda: Labeling(2, (-1,)), "label -1 at vertex 0 out of range for ground size m=2"),
     (lambda: SearchConfig(mode="some"),
      "mode must be one of ('first', 'count', 'all'), got 'some'"),
-    (lambda: SearchConfig(symmetry="full"),
-     "symmetry must be one of ('affine', 'translation', 'none'), got 'full'"),
     (lambda: SearchConfig(node_limit=0), "node_limit must be positive, got 0"),
 ])
 def test_validation_messages(build, message):

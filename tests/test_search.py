@@ -1,4 +1,7 @@
-"""The backtracking engine against the oracle, plus its symmetry and limit contracts."""
+"""The backtracking engine against the oracle, plus its symmetry and limit contracts.
+
+First and count mode break the affine symmetry; all mode walks the whole
+tree, so it is the reference with symmetry switched off."""
 
 import time
 
@@ -57,15 +60,15 @@ def test_oracle_equivalence(name, g, m):
 @pytest.mark.parametrize("name,g,m", FEASIBLE_CORPUS, ids=[c[0] for c in FEASIBLE_CORPUS])
 def test_symmetry_off_matches_on(name, g, m):
     on = search(g, SearchConfig(mode="count"))
-    off = search(g, SearchConfig(mode="count", symmetry="none"))
-    assert on.count_raw == off.count_raw
-    # Anchoring prunes the root fan-out, never adds work.
+    off = search(g, SearchConfig(mode="all"))
+    assert on.count_raw == off.count_raw == len(off.witnesses)
+    # The canonical rule prunes the whole tree, never adds work.
     assert on.nodes_explored <= off.nodes_explored
 
 
 @pytest.mark.parametrize("name,g,m", FEASIBLE_CORPUS, ids=[c[0] for c in FEASIBLE_CORPUS])
 def test_count_divisible_by_universe(name, g, m):
-    outcome = search(g, SearchConfig(mode="count", symmetry="none"))
+    outcome = search(g, SearchConfig(mode="all"))
     assert outcome.count_raw % (1 << m) == 0
 
 
@@ -125,15 +128,6 @@ def test_first_mode_exhausts_on_unsat():
     assert outcome.count_raw == 0
 
 
-def test_node_limit_stops_early():
-    g = make_complete_bipartite(1, 7)
-    full = search(g, SearchConfig(mode="count", symmetry="translation"))
-    limited = search(g, SearchConfig(mode="count", symmetry="translation", node_limit=100))
-    assert not limited.exhausted
-    assert limited.nodes_explored == 100
-    assert limited.count_raw <= full.count_raw
-
-
 def test_node_limit_one_stops_after_first_attempt():
     outcome = search(make_cycle(7), SearchConfig(mode="count", node_limit=1))
     assert outcome.nodes_explored == 1
@@ -142,22 +136,13 @@ def test_node_limit_one_stops_after_first_attempt():
 
 def test_pinned_node_counts():
     # Every assignment attempt counts, pruned ones included.
-    first = search(make_cycle(15), SearchConfig(mode="first", symmetry="translation"))
-    assert first.nodes_explored == 31_515
-    assert len(first.witnesses) == 1
-    assert search(make_cycle(7), SearchConfig(symmetry="translation")).nodes_explored == 2_948
-    off = SearchConfig(mode="count", symmetry="none")
-    assert search(make_cycle(7), off).nodes_explored == 23_584
-    # The parity check answers P_8 first; the tree walk below it is pinned alone.
-    translation = SearchConfig(symmetry="translation")
-    assert _tree_search(make_path(8), 3, translation).nodes_explored == 3_284
-    assert search(make_path(8), translation).nodes_explored == 0
-    # All mode walks the whole tree.  On K_{1,7} nothing is pruned: each of
-    # the 8 centre labels is one node, and below it every partial assignment
-    # of the 7 leaves to the 7 free labels is one, so the tree has
-    # 8 * (1 + sum(7!/(7-i)! for i in 1..7)) = 8 * 13_700 nodes.
-    star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all", symmetry="translation"))
-    assert star.nodes_explored == 109_600
+    assert search(make_cycle(7), SearchConfig(mode="all")).nodes_explored == 23_584
+    # The parity check answers P_8 first; the tree walk below it is pinned
+    # alone.  XOR-translating every label maps the anchor-0 subtree (3,284
+    # nodes) onto each of the 8 anchor subtrees, pruned nodes included.
+    every = SearchConfig(mode="all")
+    assert _tree_search(make_path(8), 3, every).nodes_explored == 8 * 3_284 == 26_272
+    assert search(make_path(8), every).nodes_explored == 0
 
 
 def test_node_limit_larger_than_tree_is_harmless():
@@ -168,17 +153,9 @@ def test_node_limit_larger_than_tree_is_harmless():
     assert limited.count_raw == full.count_raw
 
 
-def test_k35_exhausts_with_zero():
-    outcome = search(make_complete_bipartite(3, 5), SearchConfig(mode="count", symmetry="translation"))
-    assert outcome.m == 4
-    assert outcome.exhausted
-    assert outcome.count_raw == 0
-    assert outcome.nodes_explored == 4_624_636
-
-
 def test_single_vertex_graph():
-    for sym in ("affine", "translation", "none"):
-        outcome = search(Graph(1, ()), SearchConfig(symmetry=sym))
+    for mode in ("first", "count", "all"):
+        outcome = search(Graph(1, ()), SearchConfig(mode=mode))
         assert outcome.m == 0
         assert outcome.count_raw == 1
         assert outcome.nodes_explored == 1
@@ -212,8 +189,11 @@ def test_more_vertices_than_labels_answers_without_search():
 
 
 def test_config_rejects_unknown_symmetry():
-    with pytest.raises(ValueError):
-        SearchConfig(symmetry="rotation")
+    # The mode decides symmetry, so no field selects it.
+    assert SearchConfig.__slots__ == ("mode", "node_limit")
+    for sym in ("affine", "translation", "none"):
+        with pytest.raises(TypeError):
+            SearchConfig(symmetry=sym)
 
 
 # Affine symmetry: one canonical labeling per AGL(m,2) orbit, orbit size
@@ -256,14 +236,16 @@ def test_affine_c15_count():
 
 
 def test_affine_c15_first_matches_translation_witness():
+    # The whole tree tries the anchor's label 0 first, so its first labeling
+    # is the first of the anchor-pinned (translation) tree, at node 31,515.
     witness = (0, 1, 2, 4, 3, 8, 5, 10, 6, 12, 9, 11, 15, 7, 14)
     affine = search(make_cycle(15), SearchConfig(mode="first"))
-    translation = search(make_cycle(15), SearchConfig(mode="first", symmetry="translation"))
+    every = search(make_cycle(15), SearchConfig(mode="all", node_limit=31_515))
+    assert not search(make_cycle(15), SearchConfig(mode="all", node_limit=31_514)).witnesses
     assert affine.nodes_explored == 4_831
-    assert affine.witnesses[0].values == translation.witnesses[0].values == witness
-    # First-mode counts cover the witness's whole orbit.
+    assert affine.witnesses[0].values == every.witnesses[0].values == witness
+    # A first-mode count covers the witness's whole affine orbit.
     assert affine.count_raw == 322_560
-    assert translation.count_raw == 16
 
 
 def test_affine_pinned_node_counts():
@@ -275,12 +257,12 @@ def test_affine_pinned_node_counts():
 
 
 def test_all_mode_walks_the_whole_tree():
-    # All mode lists every labeling, so every symmetry setting walks the
-    # tree of symmetry="none" (8 * 13_700 nodes, see test_pinned_node_counts).
-    g = make_complete_bipartite(1, 7)
-    star = search(g, SearchConfig(mode="all"))
-    assert star == search(g, SearchConfig(mode="all", symmetry="translation"))
-    assert star == search(g, SearchConfig(mode="all", symmetry="none"))
+    # All mode lists every labeling, so it walks the whole tree with no
+    # symmetry breaking.  On K_{1,7} nothing is pruned: each of the 8 centre
+    # labels is one node, and below it every partial assignment of the 7
+    # leaves to the 7 free labels is one, so the tree has
+    # 8 * (1 + sum(7!/(7-i)! for i in 1..7)) = 8 * 13_700 nodes.
+    star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all"))
     assert star.nodes_explored == 109_600
     assert len(star.witnesses) == star.count_raw == 40_320
 
