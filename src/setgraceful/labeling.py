@@ -64,6 +64,11 @@ class ValidationReport(Record):
     )
 
 
+# Every check passes and no witness is set.  Records are immutable, so
+# every valid labeling can share this one report.
+_VALID = ValidationReport(True, None, True, None, True, None, None, True)
+
+
 def edge_labels(g: Graph, f: Labeling) -> list[int]:
     """Induced edge labels, one per edge in g's canonical edge order."""
     if len(f.values) != g.n:
@@ -76,10 +81,10 @@ def is_set_graceful(g: Graph, m: int, values: Sequence[int]) -> bool:
     """The set-graceful predicate alone, on a plain sequence of labels.
 
     True exactly when the n labels lie in range(2**m), are pairwise
-    distinct, and their edge labels hit every nonempty subset exactly once.
-    No `Labeling` or witness is built, so a caller that only needs the
-    verdict pays for nothing else; `validate(g, Labeling(m, values)).valid`
-    gives the same answer on in-range labels.
+    distinct, and `edges_cover_once` accepts their edge labels.  No
+    `Labeling` or witness is built, so a caller that only needs the verdict
+    pays for nothing else; `validate` asks it first and builds witnesses
+    only when it says no.
     """
     if len(values) != g.n:
         raise ValueError(f"labeling covers {len(values)} vertices, graph has {g.n}")
@@ -89,14 +94,28 @@ def is_set_graceful(g: Graph, m: int, values: Sequence[int]) -> bool:
             return False
     if len(set(values)) != len(values):
         return False
+    return edges_cover_once(g.edges, (1 << universe) - 2, values)
+
+
+def edges_cover_once(edges: Sequence[tuple[int, int]], full: int, values: Sequence[int]) -> bool:
+    """The edge half of the predicate: each edge label occurs once, and
+    together they are every nonempty label.
+
+    full is the mask of the nonempty labels, ``(1 << 2**m) - 2``; edges and
+    full depend only on the graph, so a caller testing many labelings of one
+    graph computes them once.  The vertex labels themselves are not checked:
+    that they lie in range(2**m) and are pairwise distinct is tested by
+    `is_set_graceful`, and holds by construction for the oracle's
+    permutations.
+    """
     # One bit per edge label; a bit met twice is a repeated edge label.
     seen = 0
-    for u, v in g.edges:
+    for u, v in edges:
         bit = 1 << (values[u] ^ values[v])
         if seen & bit:
             return False
         seen |= bit
-    return seen == (1 << universe) - 2
+    return seen == full
 
 
 def _first_duplicate(items: Iterable[int]) -> tuple[int, int] | None:
@@ -118,10 +137,14 @@ def _first_duplicate(items: Iterable[int]) -> tuple[int, int] | None:
 def validate(g: Graph, f: Labeling) -> ValidationReport:
     """Check the set-graceful predicate, reporting every failing component.
 
-    All components are evaluated (no fail-fast) so a CLI report can show
-    each violation.  Witnesses are deterministic: the lexicographically
-    smallest offending pair, edge, or missing label.
+    The verdict comes from `is_set_graceful`; a valid labeling gets the one
+    shared all-valid report.  For an invalid one every component is
+    evaluated (no fail-fast) so a CLI report can show each violation.
+    Witnesses are deterministic: the lexicographically smallest offending
+    pair, edge, or missing label.
     """
+    if is_set_graceful(g, f.m, f.values):
+        return _VALID
     labels = edge_labels(g, f)
     present = set(labels)
     vertex_witness = _first_duplicate(f.values)

@@ -53,8 +53,12 @@ class SearchConfig(Record):
     def __init__(self, mode: str = "count", node_limit: int | None = None) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if node_limit is not None and node_limit <= 0:
-            raise ValueError(f"node_limit must be positive, got {node_limit}")
+        if node_limit is not None:
+            # bool is an int subclass, but True is no node count.
+            if not isinstance(node_limit, int) or isinstance(node_limit, bool):
+                raise ValueError(f"node_limit must be an int, got {node_limit!r}")
+            if node_limit <= 0:
+                raise ValueError(f"node_limit must be positive, got {node_limit}")
         set_field(self, "mode", mode)
         set_field(self, "node_limit", node_limit)
 

@@ -11,6 +11,7 @@ from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_p
 from setgraceful.labeling import (
     Labeling,
     LabelingParseError,
+    ValidationReport,
     edge_labels,
     is_set_graceful,
     read_labeling,
@@ -18,6 +19,8 @@ from setgraceful.labeling import (
     write_labeling,
 )
 from setgraceful.labels import parse_label
+
+from conftest import predicate_cases, set_graceful_by_definition
 
 K2 = make_complete_bipartite(1, 1)
 
@@ -69,7 +72,8 @@ def test_validate_k2_valid():
 
 def test_validate_star_k13():
     report = validate(make_complete_bipartite(1, 3), Labeling(2, (0, 1, 2, 3)))
-    assert report.valid
+    # Every check passes and no witness is set.
+    assert report == ValidationReport(True, None, True, None, True, None, None, True)
     assert sorted(edge_labels(make_complete_bipartite(1, 3), Labeling(2, (0, 1, 2, 3)))) == [1, 2, 3]
 
 
@@ -129,42 +133,13 @@ def test_validate_matches_definition(pair):
 STAR = make_complete_bipartite(1, 3)
 
 
-@st.composite
-def predicate_cases(draw):
-    """(graph, m, labels) with m <= 3 and n <= 7, half of them near-valid.
-
-    Arbitrary cases repeat labels and pick any edge set.  Near-valid cases
-    take distinct labels and one edge per nonzero label wherever some vertex
-    pair induces it, then may add or drop an edge, so valid labelings and
-    the edge counts around 2**m - 1 both come up often.
-    """
-    m = draw(st.integers(0, 3))
-    n = draw(st.integers(0, 7))
-    pairs = list(itertools.combinations(range(n), 2))
-    if draw(st.booleans()):
-        values = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n))
-        edges = [e for e in pairs if draw(st.booleans())]
-    else:
-        values = draw(st.permutations(range(1 << m)))[:n]
-        pairs = list(itertools.combinations(range(len(values)), 2))
-        edges = []
-        for s in range(1, 1 << m):
-            inducing = [(u, v) for u, v in pairs if values[u] ^ values[v] == s]
-            if inducing:
-                edges.append(draw(st.sampled_from(inducing)))
-        spare = [e for e in pairs if e not in edges]
-        change = draw(st.sampled_from(("keep", "keep", "add", "drop")))
-        if change == "add" and spare:
-            edges.append(draw(st.sampled_from(spare)))
-        elif change == "drop" and edges:
-            edges.remove(draw(st.sampled_from(edges)))
-    return Graph(len(values), tuple(edges)), m, tuple(values)
-
-
 @given(predicate_cases())
 def test_is_set_graceful_matches_validate(case):
+    # validate takes its verdict from is_set_graceful, so their agreement
+    # alone would miss a false positive; the definition judges both.
     g, m, values = case
-    expected = validate(g, Labeling(m, values)).valid
+    expected = set_graceful_by_definition(g, m, values)
+    assert validate(g, Labeling(m, values)).valid == expected
     assert is_set_graceful(g, m, values) == expected
     assert is_set_graceful(g, m, list(values)) == expected
 

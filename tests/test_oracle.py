@@ -2,14 +2,18 @@
 
 import ast
 import itertools
+import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
-from setgraceful.labeling import Labeling, validate
+from setgraceful.labeling import Labeling, edges_cover_once, is_set_graceful, validate
 from setgraceful.oracle import CAP, EnumerationCapError, brute_force_enumerate
+
+from conftest import predicate_cases, set_graceful_by_definition
 
 
 def test_k2_both_bijections():
@@ -96,6 +100,52 @@ def test_oracle_matches_validator_filter_on_random_m3_graphs():
         assert found == validator_filtered(g, 3), g
         hits += len(found)
     assert hits > 0
+
+
+def definition_filtered(g, m):
+    """Every injective assignment, in lexicographic order, that the
+    definition accepts; shares no code with the oracle or the predicate."""
+    return [a for a in itertools.permutations(range(1 << m), g.n)
+            if set_graceful_by_definition(g, m, a)]
+
+
+def test_every_small_graph_matches_definition():
+    # All assignments, not only injective ones, so the predicate's vertex
+    # checks are judged too.
+    for g, m in every_small_graph():
+        for values in itertools.product(range(1 << m), repeat=g.n):
+            expected = set_graceful_by_definition(g, m, values)
+            assert is_set_graceful(g, m, values) == expected, (g, m, values)
+            assert validate(g, Labeling(m, values)).valid == expected, (g, m, values)
+        found = [f.values for f in brute_force_enumerate(g, m)]
+        assert found == definition_filtered(g, m), (g, m)
+
+
+# A case may take 40,320 assignments through the definition, over the deadline.
+@settings(deadline=None)
+@given(predicate_cases())
+def test_oracle_matches_definition(case):
+    g, m, _ = case
+    assert [f.values for f in brute_force_enumerate(g, m)] == definition_filtered(g, m)
+
+
+def test_oracle_tests_every_injective_assignment(monkeypatch):
+    # The edge test is the oracle's only test, so one call per assignment
+    # means no assignment was skipped: no pruning, no edge-count shortcut.
+    calls = []
+
+    def counting(edges, full, values):
+        calls.append(values)
+        return edges_cover_once(edges, full, values)
+
+    monkeypatch.setattr("setgraceful.oracle.edges_cover_once", counting)
+    assert brute_force_enumerate(make_path(8), 3) == []
+    assert len(calls) == math.perm(8, 8) == 40_320
+    rng = random.Random(15)
+    g = Graph(6, tuple(rng.sample(list(itertools.combinations(range(6), 2)), 7)))
+    calls.clear()
+    brute_force_enumerate(g, 3)
+    assert len(calls) == len(set(calls)) == math.perm(8, 6) == 20_160
 
 
 def test_oracle_builds_labelings_only_for_hits(monkeypatch):

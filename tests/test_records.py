@@ -167,6 +167,11 @@ def test_keyword_and_default_construction():
     (lambda: SearchConfig(mode="some"),
      "mode must be one of ('first', 'count', 'all'), got 'some'"),
     (lambda: SearchConfig(node_limit=0), "node_limit must be positive, got 0"),
+    # Not int node counts: 2.5 would explore 3 nodes and True 1, and the old
+    # positional symmetry argument lands in node_limit.
+    (lambda: SearchConfig(node_limit=2.5), "node_limit must be an int, got 2.5"),
+    (lambda: SearchConfig(node_limit=True), "node_limit must be an int, got True"),
+    (lambda: SearchConfig("count", "affine"), "node_limit must be an int, got 'affine'"),
 ])
 def test_validation_messages(build, message):
     with pytest.raises(ValueError) as excinfo:
