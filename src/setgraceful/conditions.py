@@ -4,8 +4,8 @@ A set-graceful labeling makes the edge map a bijection onto the nonempty
 labels, so a graph can only admit one when |E| = 2**m - 1.  For m >= 2 a
 parity argument also rules out every graph with exactly two odd-degree
 vertices (`parity_obstruction`).  For complete bipartite graphs the
-decision is total: stars K_{1,q} with q = 2**m - 1 admit a labeling (a
-constructive witness lives here), every other K_{p,q} does not.
+decision is total: stars K_{1,q} with q = 2**m - 1 admit a labeling (center
+0, leaf i labeled i), every other K_{p,q} does not.
 `proof_trace` instantiates the parity contradiction for a concrete non-star
 (p, q) as a checkable list of steps.
 """
@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from setgraceful.graph import Graph, make_complete_bipartite
-from setgraceful.labeling import Labeling
-from setgraceful.labels import check_ground_size
+from setgraceful.graph import Graph
 from setgraceful.record import Record
 
 STAR_ADMITS = "star-admits"
@@ -117,20 +115,6 @@ def star_theorem_decision(p: int, q: int) -> StarDecision:
     if p == 1 or q == 1:
         return StarDecision(kind=STAR_ADMITS, m=m)
     return StarDecision(kind=NON_STAR_IMPOSSIBLE, m=m)
-
-
-def construct_star_labeling(m: int) -> tuple[Graph, Labeling]:
-    """A set-graceful witness for the star K_{1,2**m-1}.
-
-    The center gets the empty label, leaf i gets label i, so edge labels are
-    exactly the nonempty subsets.  For m = 0 the star degenerates to the
-    one-vertex graph.
-    """
-    check_ground_size(m)
-    if m == 0:
-        return Graph(n=1, edges=(), name="K_1"), Labeling(0, (0,))
-    g = make_complete_bipartite(1, (1 << m) - 1)
-    return g, Labeling(m, tuple(range(1 << m)))
 
 
 def proof_trace(p: int, q: int) -> ProofTrace:

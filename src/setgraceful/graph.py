@@ -1,4 +1,4 @@
-"""Finite simple graphs: model, generators, structure detection, file I/O.
+"""Finite simple graphs: model, generators, file I/O.
 
 Vertices are dense indices 0..n-1.  Edge lists are canonicalized on
 construction (u < v within an edge, lexicographic order overall), so every
@@ -76,12 +76,6 @@ class Graph(Record):
         return deg
 
 
-class Bipartition(Record):
-    """The two sides of a complete bipartite graph; p_side contains vertex 0."""
-
-    __slots__ = ("p_side", "q_side")
-
-
 def make_complete_bipartite(p: int, q: int) -> Graph:
     """K_{p,q}: vertices 0..p-1 on one side, p..p+q-1 on the other, all cross edges."""
     if p < 1 or q < 1:
@@ -103,39 +97,6 @@ def make_cycle(n: int) -> Graph:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     edges = tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
     return Graph(n=n, edges=edges, name=f"C_{n}")
-
-
-def complete_bipartition(g: Graph) -> Bipartition | None:
-    """Return the bipartition (P, Q) if g is exactly a complete bipartite graph.
-
-    Requires g connected and bipartite with edge set equal to all of P x Q,
-    both sides nonempty.  Returns None otherwise; the side containing
-    vertex 0 is reported as p_side.
-    """
-    if g.n < 2 or not g.edges:
-        return None
-    adj = g.adjacency()
-    color = [-1] * g.n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if color[w] == -1:
-                color[w] = 1 - color[u]
-                queue.append(w)
-            elif color[w] == color[u]:
-                return None  # odd cycle
-    if any(c == -1 for c in color):
-        return None  # disconnected
-    p_side = frozenset(v for v in range(g.n) if color[v] == 0)
-    q_side = frozenset(v for v in range(g.n) if color[v] == 1)
-    if not q_side:
-        return None
-    # Every edge already crosses the coloring, so completeness is a count check.
-    if len(g.edges) != len(p_side) * len(q_side):
-        return None
-    return Bipartition(p_side=p_side, q_side=q_side)
 
 
 def read_graph(stream: IO[str] | Iterable[str]) -> Graph:

@@ -265,19 +265,13 @@ def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:
     count, wit_tuples, nodes, limit_hit = _explore(
         back, caps, first, cfg.mode, cfg.node_limit,
     )
-    count_raw = count * orbit
-
-    witnesses = []
-    for w in wit_tuples:
-        vals = [0] * n
-        for i, lab in enumerate(w):
-            vals[order[i]] = lab
-        witnesses.append(Labeling(m, tuple(vals)))
+    # A witness lists labels in vertex order; pos[v] is v's place in it.
+    witnesses = tuple(Labeling(m, tuple(map(w.__getitem__, pos))) for w in wit_tuples)
 
     return SearchOutcome(
         m=m,
-        count_raw=count_raw,
-        witnesses=tuple(witnesses),
+        count_raw=count * orbit,
+        witnesses=witnesses,
         nodes_explored=nodes,
         exhausted=not limit_hit,
     )

@@ -1,4 +1,4 @@
-"""Feasibility, the star decision, the constructive witness, and proof traces."""
+"""Feasibility, the star decision, the star labeling, and proof traces."""
 
 from pathlib import Path
 
@@ -10,13 +10,12 @@ from setgraceful.conditions import (
     STAR_ADMITS,
     ProofStep,
     TraceNotApplicableError,
-    construct_star_labeling,
     feasible_ground_size,
     proof_trace,
     star_theorem_decision,
 )
 from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
-from setgraceful.labeling import validate
+from setgraceful.labeling import Labeling, edge_labels, validate
 from setgraceful.search import SearchConfig, search
 
 DATA = Path(__file__).parent / "data"
@@ -42,12 +41,47 @@ def test_feasible_zero_edges_m0():
     assert feasible_ground_size(make_path(1)) == 0
 
 
+def star_labeling(m: int) -> tuple[Graph, Labeling]:
+    """K_{1,2^m-1} with center 0 and leaf i labeled i; the one-vertex graph at m = 0."""
+    g = make_complete_bipartite(1, (1 << m) - 1) if m else Graph(1, ())
+    return g, Labeling(m, range(1 << m))
+
+
 def test_feasibility_is_necessary_for_validity():
     # Whenever validate accepts, the forced ground size matches the labeling's m.
-    for m in range(4):
-        g, f = construct_star_labeling(m)
-        assert validate(g, f).valid
-        assert feasible_ground_size(g) == f.m
+    for g in (make_path(2), make_cycle(3), make_complete_bipartite(1, 3)):
+        outcome = search(g, SearchConfig("all"))
+        assert outcome.witnesses
+        for f in outcome.witnesses:
+            assert validate(g, f).valid
+            assert feasible_ground_size(g) == f.m
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_star_construction_validates(m):
+    # The star half of the theorem: every nonempty edge label occurs once.
+    g, f = star_labeling(m)
+    assert g.n == 1 << m
+    assert validate(g, f).valid
+    assert feasible_ground_size(g) == m
+    assert sorted(edge_labels(g, f)) == list(range(1, 1 << m))
+
+
+def test_star_construction_m1_is_k2():
+    g, f = star_labeling(1)
+    assert g.edges == ((0, 1),)
+    assert f.values == (0, 1)
+
+
+def test_star_construction_m3_edge_labels():
+    g, f = star_labeling(3)
+    assert sorted(edge_labels(g, f)) == list(range(1, 8))
+
+
+def test_star_construction_rejects_above_cap():
+    # The star's labeling at m = 31 is refused by the ground-size cap.
+    with pytest.raises(ValueError, match="cap"):
+        Labeling(31, ())
 
 
 def test_decision_3_5_impossible():
@@ -68,31 +102,6 @@ def test_decision_2_4_infeasible():
 def test_decision_rejects_zero_side():
     with pytest.raises(ValueError):
         star_theorem_decision(0, 3)
-
-
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_star_construction_validates(m):
-    g, f = construct_star_labeling(m)
-    assert g.n == 1 << m
-    assert validate(g, f).valid
-
-
-def test_star_construction_m1_is_k2():
-    g, f = construct_star_labeling(1)
-    assert g.edges == ((0, 1),)
-    assert f.values == (0, 1)
-
-
-def test_star_construction_m3_edge_labels():
-    from setgraceful.labeling import edge_labels
-
-    g, f = construct_star_labeling(3)
-    assert sorted(edge_labels(g, f)) == list(range(1, 8))
-
-
-def test_star_construction_rejects_above_cap():
-    with pytest.raises(ValueError):
-        construct_star_labeling(31)
 
 
 def test_decision_agrees_with_search_up_to_m4():

@@ -10,12 +10,6 @@ from pathlib import Path
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "setgraceful"
 
-# Kept without a caller, on purpose.
-ALLOWED = {
-    "construct_star_labeling",  # the constructive half of the star theorem
-    "complete_bipartition",  # meant to let search answer complete bipartite graphs
-}
-
 
 def _names(tree: ast.AST) -> Counter:
     """Every identifier a tree refers to: names, attributes and imported names."""
@@ -55,7 +49,7 @@ def test_every_public_definition_has_a_caller():
             continue
         for node in tree.body:
             for name in _defined(node):
-                if name.startswith("_") or name in ALLOWED:
+                if name.startswith("_"):
                     continue
                 # A definition's references to itself (recursion) are not callers.
                 if used[name] - _names(node)[name] == 0:

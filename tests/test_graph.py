@@ -1,13 +1,14 @@
-"""Graph model, generators, bipartition detection, and file round-trips."""
+"""Graph model, generators, and file round-trips."""
 
+import collections
 import io
+import itertools
 
 import pytest
 
 from setgraceful.graph import (
     Graph,
     GraphParseError,
-    complete_bipartition,
     make_complete_bipartite,
     make_cycle,
     make_path,
@@ -75,52 +76,56 @@ def test_cycle_too_small_rejected():
         make_cycle(2)
 
 
+def cross_splits(g: Graph) -> list[tuple[int, ...]]:
+    """Every side S whose cross pairs S x (V - S) are exactly g's edges, by definition."""
+    edges = set(g.edges)
+    return [side for r in range(1, g.n) for side in itertools.combinations(range(g.n), r)
+            if edges == {(min(u, v), max(u, v))
+                         for u in side for v in range(g.n) if v not in side}]
+
+
 def test_bipartition_of_k35():
-    bip = complete_bipartition(make_complete_bipartite(3, 5))
-    assert bip is not None
-    assert bip.p_side == frozenset({0, 1, 2})
-    assert bip.q_side == frozenset({3, 4, 5, 6, 7})
+    assert cross_splits(make_complete_bipartite(3, 5)) == [(0, 1, 2), (3, 4, 5, 6, 7)]
 
 
 def test_bipartition_of_c4_matches_k22():
     # C_4 is K_{2,2}: the 4 edges are exactly the 2x2 cross pairs.
-    bip = complete_bipartition(make_cycle(4))
-    assert bip is not None
-    assert bip.p_side == frozenset({0, 2})
-    assert bip.q_side == frozenset({1, 3})
+    assert cross_splits(make_cycle(4)) == [(0, 2), (1, 3)]
 
 
 def test_bipartition_absent_for_path4():
     # The bipartition {0,2},{1,3} would need 4 cross edges; P_4 has 3.
-    assert complete_bipartition(make_path(4)) is None
+    assert cross_splits(make_path(4)) == []
 
 
 def test_bipartition_absent_for_odd_cycle():
-    assert complete_bipartition(make_cycle(3)) is None
+    assert cross_splits(make_cycle(3)) == []
 
 
 def test_bipartition_absent_for_disconnected():
-    g = Graph(4, ((0, 1), (2, 3)))
-    assert complete_bipartition(g) is None
+    assert cross_splits(Graph(4, ((0, 1), (2, 3)))) == []
 
 
 def test_bipartition_absent_for_single_vertex():
-    assert complete_bipartition(Graph(1, ())) is None
+    assert cross_splits(Graph(1, ())) == []
 
 
 @pytest.mark.parametrize("p", range(1, 9))
 @pytest.mark.parametrize("q", range(1, 9))
 def test_bipartition_roundtrip_on_generators(p, q):
-    bip = complete_bipartition(make_complete_bipartite(p, q))
-    assert bip is not None
-    assert len(bip.p_side) * len(bip.q_side) == p * q
+    # The first p vertices form one side and the last q the other.
+    g = make_complete_bipartite(p, q)
+    assert g.n == p + q
+    assert set(g.edges) == {(u, v) for u in range(p) for v in range(p, p + q)}
 
 
 @pytest.mark.parametrize("p,q,is_star", [(1, 5, True), (5, 1, True), (1, 1, True),
                                          (2, 3, False), (4, 4, False)])
 def test_star_iff_side_of_size_one(p, q, is_star):
-    bip = complete_bipartition(make_complete_bipartite(p, q))
-    assert (min(len(bip.p_side), len(bip.q_side)) == 1) == is_star
+    # A star has a center adjacent to every other vertex.
+    g = make_complete_bipartite(p, q)
+    degrees = collections.Counter(v for e in g.edges for v in e)
+    assert (max(degrees.values()) == g.n - 1) == is_star
 
 
 def test_read_simple_graph():

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from setgraceful.conditions import ProofStep, ProofTrace, StarDecision
-from setgraceful.graph import Bipartition, Graph
+from setgraceful.graph import Graph
 from setgraceful.labeling import Labeling, ValidationReport
 from setgraceful.record import Record
 from setgraceful.search import SearchConfig, SearchOutcome
@@ -21,8 +21,6 @@ STEP = ("NonStarProduct", {"p": 3, "q": 5, "product": 8}, "8 > 0")
 # (type, arguments, arguments giving a different value, repr of the first).
 CASES = [
     (Graph, (2, K2), (3, K2), "Graph(n=2, edges=((0, 1),), name=None)"),
-    (Bipartition, (frozenset({0}), frozenset({1, 2})), (frozenset({1}), frozenset({0, 2})),
-     "Bipartition(p_side=frozenset({0}), q_side=frozenset({1, 2}))"),
     (Labeling, (2, (0, 1, 2)), (2, (0, 1, 3)), "Labeling(m=2, values=(0, 1, 2))"),
     (ValidationReport, REPORT_FIELDS, (False, (0, 1)) + REPORT_FIELDS[2:],
      "ValidationReport(vertex_injective=True, vertex_witness=None, edge_injective=True, "
@@ -148,7 +146,7 @@ def test_keyword_and_default_construction():
     assert outcome == SearchOutcome(3, 0, (), 0, True, reason=None)
     assert ProofTrace(p=3, q=5, m=4, steps=()) == ProofTrace(3, 5, 4, ())
     assert StarDecision(kind="k", m=None) == StarDecision("k", None)
-    assert Bipartition(q_side=frozenset(), p_side=frozenset({0})).p_side == frozenset({0})
+    assert StarDecision(m=3, kind="k") == StarDecision("k", 3)
     fields = dict(zip(
         ("vertex_injective", "vertex_witness", "edge_injective", "edge_witness",
          "covers_all_nonempty", "missing_label", "empty_edge", "valid"), REPORT_FIELDS))
