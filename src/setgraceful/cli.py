@@ -115,12 +115,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     print(f"graph: {_graph_desc(g)}")
     print(f"labeling: m={f.m}, {len(f.values)} vertices")
-    if report.vertex_injective:
+    if report.vertex_witness is None:
         print("vertex labels injective: yes")
     else:
         u, v = report.vertex_witness
         print(f"vertex labels not injective: v={u} and v={v} share label {f.values[u]}")
-    if report.edge_injective:
+    if report.edge_witness is None:
         print("edge labels injective: yes")
     else:
         e1, e2 = report.edge_witness
@@ -129,7 +129,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"edge labels not injective: edges ({e1[0]},{e1[1]}) and "
             f"({e2[0]},{e2[1]}) share label {shared}"
         )
-    if report.covers_all_nonempty:
+    if report.missing_label is None:
         print("covers all nonempty labels: yes")
     else:
         print(f"covers all nonempty labels: no, missing {report.missing_label}")
@@ -188,7 +188,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     if args.json:
         payload = _fields(outcome)
-        payload["witnesses"] = [list(w.values) for w in outcome.witnesses]
+        # Tuples encode as JSON arrays, as lists do.
+        payload["witnesses"] = [w.values for w in outcome.witnesses]
         payload["graph"] = {"n": g.n, "edges": list(g.edges)}
         payload["emitted"] = emitted
         print(json.dumps(payload, sort_keys=True))

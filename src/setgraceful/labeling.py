@@ -54,19 +54,17 @@ class Labeling(Record):
 class ValidationReport(Record):
     """Structured verdict of the set-graceful predicate.
 
-    Each component check carries its first (lexicographically smallest)
-    violation witness; `valid` is the conjunction of all checks.
+    Each component carries its first (lexicographically smallest) violation
+    witness, None when the component holds; `valid` is the verdict, true
+    exactly when every witness is None.
     """
 
-    __slots__ = (
-        "vertex_injective", "vertex_witness", "edge_injective", "edge_witness",
-        "covers_all_nonempty", "missing_label", "empty_edge", "valid",
-    )
+    __slots__ = ("vertex_witness", "edge_witness", "missing_label", "empty_edge", "valid")
 
 
-# Every check passes and no witness is set.  Records are immutable, so
-# every valid labeling can share this one report.
-_VALID = ValidationReport(True, None, True, None, True, None, None, True)
+# No witness is set.  Records are immutable, so every valid labeling can
+# share this one report.
+_VALID = ValidationReport(None, None, None, None, True)
 
 
 def edge_labels(g: Graph, f: Labeling) -> list[int]:
@@ -154,17 +152,8 @@ def validate(g: Graph, f: Labeling) -> ValidationReport:
     # The labels fill at most len(labels) of the candidates, so the scan
     # stops within len(labels) + 2 steps unless every label is present.
     missing_label = next((s for s in range(1, 1 << f.m) if s not in present), None)
-    return ValidationReport(
-        vertex_injective=vertex_witness is None,
-        vertex_witness=vertex_witness,
-        edge_injective=edge_witness is None,
-        edge_witness=edge_witness,
-        covers_all_nonempty=missing_label is None,
-        missing_label=missing_label,
-        empty_edge=empty_edge,
-        valid=(vertex_witness is None and edge_witness is None
-               and missing_label is None and empty_edge is None),
-    )
+    # is_set_graceful said no, so some witness is set.
+    return ValidationReport(vertex_witness, edge_witness, missing_label, empty_edge, False)
 
 
 def read_labeling(stream: IO[str] | Iterable[str]) -> Labeling:

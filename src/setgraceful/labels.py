@@ -21,6 +21,9 @@ MODES = ("first", "count", "all")
 
 def check_ground_size(m: int) -> int:
     """Return m unchanged, or raise ValueError if it is not a usable ground size."""
+    # One type test: it also refuses bool, an int subclass whose True is no ground size.
+    if type(m) is not int:
+        raise ValueError(f"ground size must be an int, got {m!r}")
     if m < 0:
         raise ValueError(f"ground size must be non-negative, got {m}")
     if m > MAX_GROUND_SIZE:

@@ -76,6 +76,37 @@ def test_check_valid_star(capsys, star_files):
     assert "VALID" in out.splitlines()
 
 
+# The text report, byte for byte: every component holding, then every one violated.
+CHECK_VALID_STAR = (
+    "graph: 4 vertices, 3 edges\n"
+    "labeling: m=2, 4 vertices\n"
+    "vertex labels injective: yes\n"
+    "edge labels injective: yes\n"
+    "covers all nonempty labels: yes\n"
+    "empty edge label: none\n"
+    "VALID\n"
+)
+CHECK_P3_ALL_ZERO = (
+    "graph: 3 vertices, 2 edges\n"
+    "labeling: m=2, 3 vertices\n"
+    "vertex labels not injective: v=0 and v=1 share label 0\n"
+    "edge labels not injective: edges (0,1) and (1,2) share label 0\n"
+    "covers all nonempty labels: no, missing 1\n"
+    "empty edge label: edge (0,1)\n"
+    "INVALID\n"
+)
+
+
+def test_check_text_report_bytes(capsys, tmp_path, star_files):
+    gpath, lpath = star_files
+    assert run(capsys, "check", str(gpath), str(lpath)) == (0, CHECK_VALID_STAR, "")
+    p3 = tmp_path / "p3.graph"
+    p3.write_text("0 1\n1 2\n")
+    zeros = tmp_path / "zeros.lab"
+    zeros.write_text("m 2\n0 0\n1 0\n2 0\n")
+    assert run(capsys, "check", str(p3), str(zeros)) == (1, CHECK_P3_ALL_ZERO, "")
+
+
 def test_check_duplicate_vertex_label(capsys, tmp_path, star_files):
     gpath, _ = star_files
     bad = tmp_path / "bad.lab"
@@ -129,8 +160,22 @@ def test_check_json_keys(capsys, star_files):
     assert code == 0
     assert out.count("\n") == 1  # one compact object
     assert set(json.loads(out)) == {
-        "valid", "vertex_injective", "vertex_witness", "edge_injective", "edge_witness",
-        "covers_all_nonempty", "missing_label", "empty_edge", "m", "graph",
+        "valid", "vertex_witness", "edge_witness", "missing_label", "empty_edge", "m", "graph",
+    }
+
+
+def test_check_json_witnesses(capsys, tmp_path):
+    # Each violated component is stated once, by its witness.
+    p3 = tmp_path / "p3.graph"
+    p3.write_text("0 1\n1 2\n")
+    zeros = tmp_path / "zeros.lab"
+    zeros.write_text("m 2\n0 0\n1 0\n2 0\n")
+    code, out, _ = run(capsys, "check", str(p3), str(zeros), "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "valid": False, "vertex_witness": [0, 1], "edge_witness": [[0, 1], [1, 2]],
+        "missing_label": 1, "empty_edge": [0, 1], "m": 2,
+        "graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
     }
 
 
@@ -146,6 +191,22 @@ def test_search_json_keys(capsys, star_files):
     assert code == 0
     assert "count_raw=24\n" in out
     assert "count_anchored=" not in out
+
+
+def test_search_all_json_bytes(capsys, star_files):
+    # Witness tuples print as the JSON arrays that lists gave, byte for byte.
+    gpath, _ = star_files
+    code, out, _ = run(capsys, "search", str(gpath), "--mode", "all", "--json")
+    assert code == 0
+    assert out == (
+        '{"count_raw": 24, "emitted": [], "exhausted": true, "graph": {"edges": [[0, 1], '
+        '[0, 2], [0, 3]], "n": 4}, "m": 2, "nodes_explored": 64, "reason": null, '
+        '"witnesses": [[0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3], [0, 2, 3, 1], [0, 3, 1, 2], '
+        '[0, 3, 2, 1], [1, 0, 2, 3], [1, 0, 3, 2], [1, 2, 0, 3], [1, 2, 3, 0], [1, 3, 0, 2], '
+        '[1, 3, 2, 0], [2, 0, 1, 3], [2, 0, 3, 1], [2, 1, 0, 3], [2, 1, 3, 0], [2, 3, 0, 1], '
+        '[2, 3, 1, 0], [3, 0, 1, 2], [3, 0, 2, 1], [3, 1, 0, 2], [3, 1, 2, 0], [3, 2, 0, 1], '
+        '[3, 2, 1, 0]]}\n'
+    )
 
 
 def test_search_count_star(capsys, star_files):

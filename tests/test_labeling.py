@@ -72,8 +72,8 @@ def test_validate_k2_valid():
 
 def test_validate_star_k13():
     report = validate(make_complete_bipartite(1, 3), Labeling(2, (0, 1, 2, 3)))
-    # Every check passes and no witness is set.
-    assert report == ValidationReport(True, None, True, None, True, None, None, True)
+    # Every component holds, so no witness is set.
+    assert report == ValidationReport(None, None, None, None, True)
     assert sorted(edge_labels(make_complete_bipartite(1, 3), Labeling(2, (0, 1, 2, 3)))) == [1, 2, 3]
 
 
@@ -87,7 +87,6 @@ def test_validate_rejects_every_p4_bijection():
 def test_validate_duplicate_vertex_witness():
     report = validate(K2, Labeling(1, (1, 1)))
     assert not report.valid
-    assert not report.vertex_injective
     assert report.vertex_witness == (0, 1)
 
 
@@ -95,12 +94,11 @@ def test_validate_reports_all_components():
     # Duplicate labels on a path: duplicate vertex pair, empty edge, coverage gap.
     g = make_path(3)
     report = validate(g, Labeling(2, (2, 2, 2)))
-    assert not report.vertex_injective
     assert report.vertex_witness == (0, 1)
-    assert not report.edge_injective
+    assert report.edge_witness == ((0, 1), (1, 2))
     assert report.empty_edge == (0, 1)
-    assert not report.covers_all_nonempty
     assert report.missing_label == 1
+    assert not report.valid
 
 
 @given(small_graph_and_labeling())
@@ -121,12 +119,9 @@ def test_validate_matches_definition(pair):
 
     report = validate(g, f)
     assert report.vertex_witness == (vertex_pairs[0] if vertex_pairs else None)
-    assert report.vertex_injective == (not vertex_pairs)
     assert report.edge_witness == (edge_pairs[0] if edge_pairs else None)
-    assert report.edge_injective == (not edge_pairs)
     assert report.empty_edge == (empty_edges[0] if empty_edges else None)
     assert report.missing_label == min(missing, default=None)
-    assert report.covers_all_nonempty == (not missing)
     assert report.valid == (not vertex_pairs and not edge_pairs and not empty_edges and not missing)
 
 
@@ -177,7 +172,8 @@ def test_validate_wrong_size_fails_by_counting():
     # 3 edges but m=3 wants 7 nonzero labels covered.
     g = make_path(4)
     report = validate(g, Labeling(3, (0, 1, 3, 7)))
-    assert not report.covers_all_nonempty
+    # Edge labels 1, 2 and 4: the smallest missing label is 3.
+    assert report.missing_label == 3
     assert not report.valid
 
 

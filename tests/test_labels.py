@@ -2,6 +2,7 @@
 and the decimal form labeling files are written in."""
 
 import io
+import re
 
 import pytest
 from hypothesis import given
@@ -114,3 +115,14 @@ def test_ground_size_cap():
         check_ground_size(-1)
     with pytest.raises(ValueError):
         check_ground_size(MAX_GROUND_SIZE + 1)
+
+
+@pytest.mark.parametrize("m", [3.0, True, "3", None])
+def test_ground_size_must_be_int(m):
+    # 3.0 used to fail inside 1 << m with a TypeError, and True was taken
+    # for m = 1 and written as "m True", which read_labeling refuses.
+    message = re.escape(f"ground size must be an int, got {m!r}")
+    with pytest.raises(ValueError, match=message):
+        check_ground_size(m)
+    with pytest.raises(ValueError, match=message):
+        Labeling(m, (0, 1))

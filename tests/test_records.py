@@ -15,17 +15,16 @@ from setgraceful.record import Record
 from setgraceful.search import SearchConfig, SearchOutcome
 
 K2 = ((0, 1),)
-REPORT_FIELDS = (True, None, True, None, True, None, None, True)
+REPORT_FIELDS = (None, None, None, None, True)
 STEP = ("NonStarProduct", {"p": 3, "q": 5, "product": 8}, "8 > 0")
 
 # (type, arguments, arguments giving a different value, repr of the first).
 CASES = [
     (Graph, (2, K2), (3, K2), "Graph(n=2, edges=((0, 1),), name=None)"),
     (Labeling, (2, (0, 1, 2)), (2, (0, 1, 3)), "Labeling(m=2, values=(0, 1, 2))"),
-    (ValidationReport, REPORT_FIELDS, (False, (0, 1)) + REPORT_FIELDS[2:],
-     "ValidationReport(vertex_injective=True, vertex_witness=None, edge_injective=True, "
-     "edge_witness=None, covers_all_nonempty=True, missing_label=None, empty_edge=None, "
-     "valid=True)"),
+    (ValidationReport, REPORT_FIELDS, ((0, 1),) + REPORT_FIELDS[1:4] + (False,),
+     "ValidationReport(vertex_witness=None, edge_witness=None, missing_label=None, "
+     "empty_edge=None, valid=True)"),
     (StarDecision, ("star-admits", 3), ("non-star-impossible", 3),
      "StarDecision(kind='star-admits', m=3)"),
     (ProofStep, STEP, ("EmptyExcluded",) + STEP[1:],
@@ -148,9 +147,11 @@ def test_keyword_and_default_construction():
     assert StarDecision(kind="k", m=None) == StarDecision("k", None)
     assert StarDecision(m=3, kind="k") == StarDecision("k", 3)
     fields = dict(zip(
-        ("vertex_injective", "vertex_witness", "edge_injective", "edge_witness",
-         "covers_all_nonempty", "missing_label", "empty_edge", "valid"), REPORT_FIELDS))
+        ("vertex_witness", "edge_witness", "missing_label", "empty_edge", "valid"),
+        REPORT_FIELDS))
     assert ValidationReport(**fields) == ValidationReport(*REPORT_FIELDS)
+    # One witness per component of the predicate, then the verdict.
+    assert ValidationReport.__slots__ == tuple(fields)
 
 
 @pytest.mark.parametrize("build, message", [

@@ -148,3 +148,27 @@ def test_partial_cap_walk_agrees_for_every_k_m4(g):
     affine = search(g, SearchConfig(mode="count"))
     assert affine.count_raw > 0
     assert [partial_cap_count(g, 4, k) for k in range(5)] == [affine.count_raw] * 5
+
+
+def relabeled(g: Graph, perm: list[int]) -> Graph:
+    """g with vertex v renamed perm[v]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@pytest.mark.parametrize("text", [text for text, _ in M5_CASES],
+                         ids=["15-vertex", "14-vertex-a", "14-vertex-b", "14-vertex-none"])
+def test_count_is_relabeling_invariant_m5(text):
+    """Renaming the vertices leaves the count-mode count unchanged.
+
+    This catches a count that depends on the vertex order, as a change to
+    the order's tie-break could make it.  It misses an overcount that every
+    order shares, such as letting label 17 also open dimension 5 at m = 5;
+    the partial-cap walk above catches that one."""
+    g = graph_from(text)
+    count = search(g, SearchConfig(mode="count")).count_raw
+    rng = random.Random(5)
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        outcome = search(relabeled(g, perm), SearchConfig(mode="count"))
+        assert outcome.exhausted and outcome.reason is None and outcome.count_raw == count
