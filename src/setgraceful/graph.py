@@ -28,19 +28,21 @@ class GraphParseError(ValueError):
 
 
 class Graph(Record):
-    """A finite simple graph (no loops, no duplicate edges).
+    """A finite simple graph (no loops, no duplicate edges)."""
 
-    Equality and hashing read n and the canonical edges, not the name.
-    """
+    __slots__ = ("n", "edges")
 
-    __slots__ = ("n", "edges", "name")
-
-    def __init__(self, n: int, edges: Iterable[Edge], name: str | None = None) -> None:
+    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
+        # One type test: it also refuses bool, an int subclass whose True is no vertex count.
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         canonical = []
         seen = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
             if u == v:
                 raise ValueError(f"loop at vertex {u} (graph must be simple)")
             if not (0 <= u < n and 0 <= v < n):
@@ -53,10 +55,6 @@ class Graph(Record):
         canonical.sort()
         set_field(self, "n", n)
         set_field(self, "edges", tuple(canonical))
-        set_field(self, "name", name)
-
-    def _key(self) -> tuple:
-        return self.n, self.edges
 
     def adjacency(self) -> list[list[int]]:
         """Sorted neighbor lists, rebuilt per call."""
@@ -81,14 +79,14 @@ def make_complete_bipartite(p: int, q: int) -> Graph:
     if p < 1 or q < 1:
         raise ValueError(f"complete bipartite sides must be positive, got p={p}, q={q}")
     edges = tuple((u, v) for u in range(p) for v in range(p, p + q))
-    return Graph(n=p + q, edges=edges, name=f"K_{{{p},{q}}}")
+    return Graph(n=p + q, edges=edges)
 
 
 def make_path(n: int) -> Graph:
     """Path on n vertices (n >= 1)."""
     if n < 1:
         raise ValueError(f"path needs at least one vertex, got {n}")
-    return Graph(n=n, edges=tuple((i, i + 1) for i in range(n - 1)), name=f"P_{n}")
+    return Graph(n=n, edges=tuple((i, i + 1) for i in range(n - 1)))
 
 
 def make_cycle(n: int) -> Graph:
@@ -96,7 +94,7 @@ def make_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     edges = tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
-    return Graph(n=n, edges=edges, name=f"C_{n}")
+    return Graph(n=n, edges=edges)
 
 
 def read_graph(stream: IO[str] | Iterable[str]) -> Graph:
@@ -146,8 +144,6 @@ def read_graph(stream: IO[str] | Iterable[str]) -> Graph:
 
 def write_graph(g: Graph, stream: IO[str]) -> None:
     """Write the graph file format; round-trips n and the canonical edge list."""
-    if g.name:
-        stream.write(f"# {g.name}\n")
     stream.write(f"vertices {g.n}\n")
     for u, v in g.edges:
         stream.write(f"{u} {v}\n")

@@ -32,8 +32,8 @@ class LabelingParseError(ValueError):
 class Labeling(Record):
     """A vertex-indexed assignment of labels over ground size m.
 
-    Entries must lie below 2**m; whether the assignment is set-graceful is
-    not an invariant of the type and is checked by `validate`.
+    Entries must be ints below 2**m; whether the assignment is set-graceful
+    is not an invariant of the type and is checked by `validate`.
     """
 
     __slots__ = ("m", "values")
@@ -42,11 +42,15 @@ class Labeling(Record):
         check_ground_size(m)
         values = tuple(values)
         limit = 1 << m
-        for v, value in enumerate(values):
-            if not 0 <= value < limit:
-                raise ValueError(
-                    f"label {value} at vertex {v} out of range for ground size m={m}"
-                )
+        # One type test, as in check_ground_size, so bool is refused too.  The
+        # hot loop keeps no index and no closure (which would make `value` a
+        # cell); an earlier label that is this same object would have failed.
+        for value in values:
+            if type(value) is not int or not 0 <= value < limit:
+                v = list(map(id, values)).index(id(value))
+                problem = (f"out of range for ground size m={m}" if type(value) is int
+                           else "is not an int")
+                raise ValueError(f"label {value!r} at vertex {v} {problem}")
         set_field(self, "m", m)
         set_field(self, "values", values)
 
@@ -78,7 +82,7 @@ def edge_labels(g: Graph, f: Labeling) -> list[int]:
 def is_set_graceful(g: Graph, m: int, values: Sequence[int]) -> bool:
     """The set-graceful predicate alone, on a plain sequence of labels.
 
-    True exactly when the n labels lie in range(2**m), are pairwise
+    True exactly when the n labels are ints in range(2**m), are pairwise
     distinct, and `edges_cover_once` accepts their edge labels.  No
     `Labeling` or witness is built, so a caller that only needs the verdict
     pays for nothing else; `validate` asks it first and builds witnesses
@@ -88,7 +92,7 @@ def is_set_graceful(g: Graph, m: int, values: Sequence[int]) -> bool:
         raise ValueError(f"labeling covers {len(values)} vertices, graph has {g.n}")
     universe = 1 << check_ground_size(m)
     for value in values:
-        if not 0 <= value < universe:
+        if type(value) is not int or not 0 <= value < universe:
             return False
     if len(set(values)) != len(values):
         return False

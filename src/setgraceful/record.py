@@ -3,8 +3,8 @@
 A record is a slotted class whose ``__slots__`` name its fields in
 constructor order.  Unless the class writes its own ``__init__`` (to
 validate or convert its arguments), its constructor is generated from
-``__slots__`` and the ``_defaults`` dict, and sets each field once with
-``set_field``.  Afterwards assigning or deleting a field raises
+``__slots__``: it takes every field, each required, and sets each once
+with ``set_field``.  Afterwards assigning or deleting a field raises
 AttributeError.  Records compare equal when they are of the same class and
 their fields compare equal, hash by those fields, and print as
 ``Name(field=value, ...)``.  The module imports nothing, so a process that
@@ -18,28 +18,27 @@ from __future__ import annotations
 set_field = object.__setattr__
 
 
+def _fields(record: Record) -> tuple:
+    """A record's field values, in __slots__ order; what it compares, hashes and pickles by."""
+    return tuple(getattr(record, name) for name in record.__slots__)
+
+
 class Record:
     """Base of the immutable value types; subclasses list their fields in __slots__."""
 
     __slots__ = ()
-    # Default values of trailing fields, by name, for a generated constructor.
-    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         if cls.__init__ is object.__init__:
             cls.__init__ = _GeneratedInit()
 
-    def _key(self) -> tuple:
-        """The fields that equality and hashing read; all of them by default."""
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return _fields(self) == _fields(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(_fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -54,7 +53,7 @@ class Record:
     def __reduce__(self) -> tuple:
         # Rebuild through the constructor: the default slot-state restore
         # would go through __setattr__.
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, _fields(self)
 
 
 class _GeneratedInit:
@@ -68,12 +67,9 @@ class _GeneratedInit:
 
     def __get__(self, record: Record | None, cls: type[Record]) -> object:
         fields = cls.__slots__
-        params = ", ".join(
-            f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in fields
-        )
         body = "; ".join(f"set_field(self, {name!r}, {name})" for name in fields)
-        scope = {"set_field": set_field, "_defaults": cls._defaults, "__name__": cls.__module__}
-        exec(f"def __init__(self, {params}):\n    {body}\n", scope)
+        scope = {"set_field": set_field, "__name__": cls.__module__}
+        exec(f"def __init__(self, {', '.join(fields)}):\n    {body}\n", scope)
         init = cls.__init__ = scope["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         return init.__get__(record, cls)

@@ -78,7 +78,6 @@ class SearchOutcome(Record):
     """
 
     __slots__ = ("m", "count_raw", "witnesses", "nodes_explored", "exhausted", "reason")
-    _defaults = {"reason": None}
 
 
 def vertex_order(g: Graph) -> list[int]:
@@ -213,7 +212,7 @@ def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     if n == 0:
         wits = (Labeling(m, ()),) if cfg.mode != "count" else ()
         return SearchOutcome(
-            m=m, count_raw=1, witnesses=wits, nodes_explored=0, exhausted=True,
+            m=m, count_raw=1, witnesses=wits, nodes_explored=0, exhausted=True, reason=None,
         )
     if n > 1 << m:
         # Too few labels for distinct vertex labels.  Answer before building
@@ -274,4 +273,5 @@ def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:
         witnesses=witnesses,
         nodes_explored=nodes,
         exhausted=not limit_hit,
+        reason=None,
     )

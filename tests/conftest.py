@@ -11,7 +11,7 @@ from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_p
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)), name=f"K_{n}")
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 # (name, graph, ground size) for the feasible members; the searcher derives

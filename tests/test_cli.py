@@ -38,9 +38,16 @@ def star_files(tmp_path, capsys):
 def test_gen_complete_bipartite_to_stdout(capsys):
     code, out, _ = run(capsys, "gen", "--type", "complete-bipartite", "--p", "3", "--q", "5")
     assert code == 0
-    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+    lines = out.splitlines()
     assert lines[0] == "vertices 8"
     assert len(lines) == 16  # header + 15 edges
+
+
+def test_gen_cycle_bytes(capsys):
+    # The header and the canonical edges, with no comment line before them.
+    code, out, _ = run(capsys, "gen", "--type", "cycle", "--n", "4")
+    assert code == 0
+    assert out == "vertices 4\n0 1\n0 3\n1 2\n2 3\n"
 
 
 def test_gen_star(capsys, tmp_path):
@@ -417,8 +424,10 @@ def test_theorem_disagreement_outranks_node_limit(capsys, monkeypatch):
     # K_{1,3} comes back exhausted with no labeling, a disagreement, and
     # K_{3,1} comes back stopped by the limit: the run is negative, not limited.
     outcomes = iter([
-        SearchOutcome(m=2, count_raw=0, witnesses=(), nodes_explored=5, exhausted=True),
-        SearchOutcome(m=2, count_raw=0, witnesses=(), nodes_explored=5, exhausted=False),
+        SearchOutcome(m=2, count_raw=0, witnesses=(), nodes_explored=5, exhausted=True,
+                      reason=None),
+        SearchOutcome(m=2, count_raw=0, witnesses=(), nodes_explored=5, exhausted=False,
+                      reason=None),
     ])
     # The CLI imports search when the command runs, so the module's name is patched.
     monkeypatch.setattr(search_module, "search", lambda g, cfg: next(outcomes))

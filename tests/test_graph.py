@@ -32,6 +32,18 @@ def test_rejects_endpoint_out_of_range():
         Graph(2, ((0, 2),))
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (2.0, ((0, 1),), "vertex count must be an int, got 2.0"),
+    (True, (), "vertex count must be an int, got True"),
+    (2, ((0.0, 1),), "edge (0.0,1) has an endpoint that is not an int"),
+    (2, ((0, False),), "edge (0,False) has an endpoint that is not an int"),
+])
+def test_rejects_non_int_vertex_count_or_endpoint(n, edges, message):
+    with pytest.raises(ValueError) as excinfo:
+        Graph(n, edges)
+    assert str(excinfo.value) == message
+
+
 def test_edges_canonicalized():
     g = Graph(4, ((3, 1), (2, 0), (1, 0)))
     assert g.edges == ((0, 1), (0, 2), (1, 3))

@@ -47,6 +47,19 @@ def test_labeling_rejects_out_of_range_entry():
         Labeling(1, (0, 2))
 
 
+@pytest.mark.parametrize("values, message", [
+    ((0.5, 1, 2, 3), "label 0.5 at vertex 0 is not an int"),
+    ((True, 0, 2, 3), "label True at vertex 0 is not an int"),
+    # True == 1, so the vertex is found by identity, not by equality.
+    ((0, 1, 2, True), "label True at vertex 3 is not an int"),
+    ((0, 1, "2", 3), "label '2' at vertex 2 is not an int"),
+])
+def test_labeling_rejects_non_int_entry(values, message):
+    with pytest.raises(ValueError) as excinfo:
+        Labeling(2, values)
+    assert str(excinfo.value) == message
+
+
 def test_edge_labels_k2():
     assert edge_labels(K2, Labeling(1, (0, 1))) == [1]
 
@@ -152,6 +165,9 @@ def test_is_set_graceful_edge_cases():
     # would accept it at m = 1, where the labels are 0 and 1.
     assert not is_set_graceful(K2, 1, (4, 5))
     assert not is_set_graceful(K2, 1, (-1, 0))
+    # Not an int, though 1.0 == 1: a non-int label is outside the label set.
+    assert not is_set_graceful(STAR, 2, (0, 1.0, 2, 3))
+    assert not is_set_graceful(STAR, 2, (0, True, 2, 3))
     with pytest.raises(ValueError, match="labeling covers 3 vertices, graph has 2"):
         is_set_graceful(K2, 1, (0, 1, 0))
 

@@ -1,12 +1,14 @@
 """README.md stays true to the code: every ```python block runs as written,
-so its import paths and its asserted results cannot go stale, and its lists
-of stable ``--json`` field names are the keys the commands print."""
+so its import paths and its asserted results cannot go stale, its lists
+of stable ``--json`` field names are the keys the commands print, and its
+CLI examples use only the options the commands have."""
 
+import argparse
 import json
 import re
 from pathlib import Path
 
-from setgraceful.cli import main
+from setgraceful.cli import build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -51,3 +53,28 @@ def test_readme_json_fields_match_the_commands(capsys, tmp_path):
         "search": (set(search), set()),
         "theorem": (set(theorem), set(theorem["pairs"][0])),
     }
+
+
+def subcommand_options() -> dict[str, set[str]]:
+    """Each subcommand's option strings, --help aside."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {option for action in sub._actions for option in action.option_strings
+                   if action.dest != "help"}
+            for name, sub in commands.choices.items()}
+
+
+def test_readme_cli_examples_use_real_options():
+    options = subcommand_options()
+    text = README.read_text()
+    lines = [line.split("#", 1)[0]
+             for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+             for line in block.splitlines() if line.startswith("setgraceful ")]
+    assert len(lines) > len(options)
+    for line in lines:
+        command = line.split()[1]
+        assert set(re.findall(r"--[\w-]+", line)) <= options[command], line
+    # And every option has its place in README, so none goes undocumented.
+    for command, names in options.items():
+        for name in names:
+            assert re.search(rf"(?<![\w-]){name}(?![\w-])", text), (command, name)

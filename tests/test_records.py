@@ -3,13 +3,14 @@ immutability, repr, the constructors' signatures and their validation messages."
 
 import copy
 import inspect
+import io
 import pickle
 import sys
 
 import pytest
 
 from setgraceful.conditions import ProofStep, ProofTrace, StarDecision
-from setgraceful.graph import Graph
+from setgraceful.graph import Graph, make_cycle, read_graph, write_graph
 from setgraceful.labeling import Labeling, ValidationReport
 from setgraceful.record import Record
 from setgraceful.search import SearchConfig, SearchOutcome
@@ -20,7 +21,7 @@ STEP = ("NonStarProduct", {"p": 3, "q": 5, "product": 8}, "8 > 0")
 
 # (type, arguments, arguments giving a different value, repr of the first).
 CASES = [
-    (Graph, (2, K2), (3, K2), "Graph(n=2, edges=((0, 1),), name=None)"),
+    (Graph, (2, K2), (3, K2), "Graph(n=2, edges=((0, 1),))"),
     (Labeling, (2, (0, 1, 2)), (2, (0, 1, 3)), "Labeling(m=2, values=(0, 1, 2))"),
     (ValidationReport, REPORT_FIELDS, ((0, 1),) + REPORT_FIELDS[1:4] + (False,),
      "ValidationReport(vertex_witness=None, edge_witness=None, missing_label=None, "
@@ -43,9 +44,7 @@ UNHASHABLE = {ProofStep}
 OWN_INIT = {Graph, Labeling, SearchConfig}
 # Every constructor's defaults; the fields not named here are required.
 DEFAULTS = {
-    Graph: {"name": None},
     SearchConfig: {"mode": "count", "node_limit": None},
-    SearchOutcome: {"reason": None},
 }
 GENERATED = [case for case in CASES if case[0] not in OWN_INIT]
 
@@ -80,6 +79,8 @@ def test_constructor_signature_lists_the_slots(cls):
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
     defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
     assert defaults == DEFAULTS.get(cls, {})
+    # A generated constructor takes every field, and every field is required.
+    assert cls in OWN_INIT or not defaults
     # A hand-written constructor is kept; a generated one is compiled from a string.
     source = cls.__init__.__code__.co_filename
     assert source == (sys.modules[cls.__module__].__file__ if cls in OWN_INIT else "<string>")
@@ -104,34 +105,39 @@ def test_generated_constructor_rejects_bad_arguments(cls, args):
 def test_generated_constructor_compiles_on_first_call():
     class Pair(Record):
         __slots__ = ("a", "b")
-        _defaults = {"b": 0}
 
     assert not inspect.isfunction(Pair.__dict__["__init__"])
-    assert repr(Pair(1)).endswith(".Pair(a=1, b=0)")
+    assert repr(Pair(1, 0)).endswith(".Pair(a=1, b=0)")
     assert inspect.isfunction(Pair.__dict__["__init__"])
-    assert Pair(b=2, a=1) == Pair(1, 2) != Pair(1)
+    assert Pair(b=2, a=1) == Pair(1, 2) != Pair(1, 0)
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'b'"):
+        Pair(1)
 
 
-def test_graph_equality_ignores_name():
-    plain, named = Graph(2, K2), Graph(2, K2, name="K_2")
-    assert plain == named
-    assert hash(plain) == hash(named)
-    assert named.name == "K_2" and "name='K_2'" in repr(named)
+def test_graph_equality_reads_its_canonical_edges():
+    # A generated graph equals its file round trip and any edge order of itself.
+    g = make_cycle(4)
+    buf = io.StringIO()
+    write_graph(g, buf)
+    for same in (read_graph(io.StringIO(buf.getvalue())), Graph(4, reversed(g.edges))):
+        assert same == g
+        assert hash(same) == hash(g)
+        assert repr(same) == repr(g) == "Graph(n=4, edges=((0, 1), (0, 3), (1, 2), (2, 3)))"
+    assert Graph.__slots__ == ("n", "edges")
 
 
 def test_assignment_refused_on_every_field():
-    g = Graph(2, K2, name="K_2")
-    for name in ("n", "edges", "name"):
+    g = Graph(2, K2)
+    for name in ("n", "edges"):
         with pytest.raises(AttributeError):
             setattr(g, name, None)
     with pytest.raises(AttributeError):
         g.extra = 1
-    assert (g.n, g.edges, g.name) == (2, K2, "K_2")
+    assert (g.n, g.edges) == (2, K2)
 
 
 def test_keyword_and_default_construction():
     assert Graph(n=2, edges=[(1, 0)]) == Graph(2, K2)
-    assert Graph(2, K2).name is None
     assert Labeling(m=2, values=[3, 0]).values == (3, 0)
     assert SearchConfig() == SearchConfig("count", None)
     assert SearchConfig(node_limit=7) == SearchConfig("count", 7)
@@ -140,9 +146,12 @@ def test_keyword_and_default_construction():
         SearchConfig("count", "affine", None)
     with pytest.raises(TypeError):
         SearchConfig(symmetry="none")
-    outcome = SearchOutcome(m=3, count_raw=0, witnesses=(), nodes_explored=0, exhausted=True)
-    assert outcome.reason is None
-    assert outcome == SearchOutcome(3, 0, (), 0, True, reason=None)
+    outcome = SearchOutcome(m=3, count_raw=0, witnesses=(), nodes_explored=0, exhausted=True,
+                            reason=None)
+    assert outcome == SearchOutcome(3, 0, (), 0, True, None)
+    # Every field of a generated constructor is required, reason too.
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'reason'"):
+        SearchOutcome(3, 0, (), 0, True)
     assert ProofTrace(p=3, q=5, m=4, steps=()) == ProofTrace(3, 5, 4, ())
     assert StarDecision(kind="k", m=None) == StarDecision("k", None)
     assert StarDecision(m=3, kind="k") == StarDecision("k", 3)
@@ -159,10 +168,18 @@ def test_keyword_and_default_construction():
     (lambda: Graph(2, ((1, 1),)), "loop at vertex 1 (graph must be simple)"),
     (lambda: Graph(2, ((0, 2),)), "edge (0,2) has an endpoint outside 0..1"),
     (lambda: Graph(2, ((0, 1), (1, 0))), "duplicate edge (0,1) (graph must be simple)"),
+    # Not int vertex counts or endpoints: search would fail on 2.0 with a
+    # TypeError, and True is no vertex count.
+    (lambda: Graph(2.0, K2), "vertex count must be an int, got 2.0"),
+    (lambda: Graph(True, ()), "vertex count must be an int, got True"),
+    (lambda: Graph(2, ((0, 1.0),)), "edge (0,1.0) has an endpoint that is not an int"),
     (lambda: Labeling(-1, ()), "ground size must be non-negative, got -1"),
     (lambda: Labeling(31, ()), "ground size 31 exceeds the supported cap 30"),
     (lambda: Labeling(2, (0, 4)), "label 4 at vertex 1 out of range for ground size m=2"),
     (lambda: Labeling(2, (-1,)), "label -1 at vertex 0 out of range for ground size m=2"),
+    # Not int labels: validate would fail on 0.5 with a TypeError from ^.
+    (lambda: Labeling(2, (0.5, 1, 2, 3)), "label 0.5 at vertex 0 is not an int"),
+    (lambda: Labeling(2, (1, True, 2, 3)), "label True at vertex 1 is not an int"),
     (lambda: SearchConfig(mode="some"),
      "mode must be one of ('first', 'count', 'all'), got 'some'"),
     (lambda: SearchConfig(node_limit=0), "node_limit must be positive, got 0"),
