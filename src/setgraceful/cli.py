@@ -231,12 +231,7 @@ def _divisors(t: int) -> list[int]:
 
 
 def cmd_theorem(args: argparse.Namespace) -> int:
-    from setgraceful.conditions import (
-        NON_STAR_IMPOSSIBLE,
-        STAR_ADMITS,
-        proof_trace,
-        star_theorem_decision,
-    )
+    from setgraceful.conditions import proof_trace
     from setgraceful.search import SearchConfig, search
 
     m = args.m
@@ -255,17 +250,18 @@ def cmd_theorem(args: argparse.Namespace) -> int:
     all_agree = True
     disagreed = False
     for p, q in pairs:
-        decision = star_theorem_decision(p, q)
-        trace: ProofTrace | None = None
-        trace_payload = None
-        if decision.kind == NON_STAR_IMPOSSIBLE:
-            trace = proof_trace(p, q)
-            trace_payload = {**_fields(trace), "steps": [_fields(s) for s in trace.steps]}
+        # The theorem: a star admits a labeling, and any other shape has a
+        # trace of its contradiction.
+        trace = proof_trace(p, q)
         traces.append(trace)
+        kind, trace_payload = "star-admits", None
+        if trace is not None:
+            kind = "non-star-impossible"
+            trace_payload = {**_fields(trace), "steps": [_fields(s) for s in trace.steps]}
         record: dict = {
             "p": p,
             "q": q,
-            "decision": {"kind": decision.kind, "m": decision.m},
+            "decision": {"kind": kind, "m": m},
             "trace": trace_payload,
             "confirm": None,
         }
@@ -275,7 +271,7 @@ def cmd_theorem(args: argparse.Namespace) -> int:
             # star at its first labeling.  A pair the node limit stops is
             # neither confirmed nor contradicted: it does not agree.
             outcome = search(make_complete_bipartite(p, q), cfg)
-            agrees = outcome.exhausted and (outcome.count_raw > 0) == (decision.kind == STAR_ADMITS)
+            agrees = outcome.exhausted and (outcome.count_raw > 0) == (trace is None)
             all_agree = all_agree and agrees
             disagreed = disagreed or (outcome.exhausted and not agrees)
             record["confirm"] = {

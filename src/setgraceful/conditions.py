@@ -1,13 +1,14 @@
-"""Closed-form necessary conditions and the complete-bipartite decision.
+"""Closed-form answers: the necessary conditions and the complete-bipartite decision.
 
 A set-graceful labeling makes the edge map a bijection onto the nonempty
-labels, so a graph can only admit one when |E| = 2**m - 1.  For m >= 2 a
-parity argument also rules out every graph with exactly two odd-degree
-vertices (`parity_obstruction`).  For complete bipartite graphs the
-decision is total: stars K_{1,q} with q = 2**m - 1 admit a labeling (center
-0, leaf i labeled i), every other K_{p,q} does not.
-`proof_trace` instantiates the parity contradiction for a concrete non-star
-(p, q) as a checkable list of steps.
+labels, so a graph can only admit one when |E| = 2**m - 1 and it has at
+most 2**m vertices.  For m >= 2 a parity argument also rules out every
+graph with exactly two odd-degree vertices (`parity_obstruction`).
+`obstruction` applies these three in order.  For complete bipartite graphs
+the decision is total: stars K_{1,q} with q = 2**m - 1 admit a labeling
+(center 0, leaf i labeled i), every other K_{p,q} does not, and
+`proof_trace` instantiates that contradiction for a concrete (p, q) as a
+checkable list of steps.
 """
 
 from __future__ import annotations
@@ -16,20 +17,6 @@ from typing import Callable
 
 from setgraceful.graph import Graph
 from setgraceful.record import Record
-
-STAR_ADMITS = "star-admits"
-NON_STAR_IMPOSSIBLE = "non-star-impossible"
-EDGE_COUNT_INFEASIBLE = "edge-count-infeasible"
-
-
-class TraceNotApplicableError(ValueError):
-    """Raised when a proof trace is requested for a star pair."""
-
-
-class StarDecision(Record):
-    """Outcome of the complete-bipartite decision for side sizes (p, q)."""
-
-    __slots__ = ("kind", "m")
 
 
 class ProofStep(Record):
@@ -101,37 +88,39 @@ def parity_obstruction(g: Graph, m: int) -> tuple[int, int] | None:
     return (odd[0], odd[1]) if len(odd) == 2 else None
 
 
-def star_theorem_decision(p: int, q: int) -> StarDecision:
-    """Decide whether K_{p,q} can be set-graceful, without searching.
+def obstruction(g: Graph, m: int | None) -> str | None:
+    """Why g has no labeling by a closed form, or None when none applies.
 
-    Edge-count infeasible when pq + 1 is not a power of two; otherwise a
-    star (one side of size 1) admits a labeling and any other shape does not.
+    m is feasible_ground_size(g).  The reasons, in the order they are tried:
+    no ground size fits the edge count, more vertices than labels, and the
+    two odd-degree vertices of `parity_obstruction`.
+    """
+    if m is None:
+        return f"edge count {len(g.edges)} is not 2^m - 1 for any m"
+    if g.n > 1 << m:
+        return f"more vertices ({g.n}) than labels ({1 << m})"
+    pair = parity_obstruction(g, m)
+    if pair is None:
+        return None
+    return (f"vertices {pair[0]} and {pair[1]} are the only odd-degree vertices, "
+            "so any labeling would give them the same label")
+
+
+def proof_trace(p: int, q: int) -> ProofTrace | None:
+    """Decide K_{p,q} with pq = 2**m - 1: None for a star, else the contradiction.
+
+    A star admits a labeling, so it has no trace.  Any other shape gets the
+    parity contradiction, every step's arithmetic re-verified while the
+    trace is built.  Raises ValueError for a side below 1, and when pq + 1
+    is not a power of two.
     """
     if p < 1 or q < 1:
         raise ValueError(f"side sizes must be positive, got p={p}, q={q}")
     m = _exact_log2(p * q + 1)
     if m is None:
-        return StarDecision(kind=EDGE_COUNT_INFEASIBLE, m=None)
-    if p == 1 or q == 1:
-        return StarDecision(kind=STAR_ADMITS, m=m)
-    return StarDecision(kind=NON_STAR_IMPOSSIBLE, m=m)
-
-
-def proof_trace(p: int, q: int) -> ProofTrace:
-    """Instantiate the parity contradiction for a non-star K_{p,q}.
-
-    Requires pq + 1 = 2**m and both sides of size at least 2; stars get a
-    TraceNotApplicableError because the argument's hypothesis fails for them.
-    Every step's arithmetic is re-verified while the trace is built.
-    """
-    decision = star_theorem_decision(p, q)
-    if decision.kind == EDGE_COUNT_INFEASIBLE:
         raise ValueError(f"edge count {p * q} is not 2^m - 1 for any m; no trace to build")
-    if decision.kind == STAR_ADMITS:
-        raise TraceNotApplicableError(
-            f"K_{{{p},{q}}} is a star; the contradiction needs (|P|-1)(|Q|-1) > 0"
-        )
-    m = decision.m
+    if p == 1 or q == 1:
+        return None
     universe = 1 << m
     vertices = p + q
     product = (p - 1) * (q - 1)

@@ -26,12 +26,10 @@ the engine uses that group:
   symmetry breaking; each witness costs at least one node, so the list
   never exceeds the node limit.
 
-Closed-form exits: before it builds any per-vertex state, `search`
-answers without exploring a node when the edge count is not 2**m - 1 for
-any m, when there are more vertices than labels, and when m >= 2 and
-exactly two vertices have odd degree (`conditions.parity_obstruction`: the
-XOR of all edge labels is 0, so those two vertices would need the same
-label).  Each of these records its reason in the outcome.
+Closed-form exits: before it builds any per-vertex state, `search` asks
+`conditions.obstruction` for a reason the graph has no labeling, and when
+one comes back it answers without exploring a node, recording the reason
+in the outcome.
 
 Determinism: the search runs on one thread along one code path.  Candidate
 labels are tried in ascending numeric order, so all-mode witnesses come out
@@ -41,7 +39,7 @@ config always yield the same outcome, node count included.
 
 from __future__ import annotations
 
-from setgraceful.conditions import feasible_ground_size, parity_obstruction
+from setgraceful.conditions import feasible_ground_size, obstruction
 from setgraceful.graph import Graph
 from setgraceful.labeling import Labeling
 from setgraceful.labels import MODES, check_ground_size
@@ -70,11 +68,9 @@ class SearchOutcome(Record):
     reports the partial counts found before the limit, and first mode stops
     at its first hit, so its count is the witness's affine orbit,
     2**m * |GL(m,2)|.  All mode lists every labeling, never more than
-    node_limit of them.  reason is set exactly when a closed form ruled out
-    every labeling without search.
-    m is None only for graphs whose edge count rules out every ground size;
-    m is set when there are more vertices than labels, and when the parity
-    condition applies, whose reason names the two odd-degree vertices.
+    node_limit of them.  reason is set exactly when `conditions.obstruction`
+    ruled out every labeling without search.  m is None only for graphs
+    whose edge count rules out every ground size.
     """
 
     __slots__ = ("m", "count_raw", "witnesses", "nodes_explored", "exhausted", "reason")
@@ -192,42 +188,25 @@ def _explore(
 def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Find, count, or enumerate the set-graceful labelings of g.
 
-    Three closed forms give a zero outcome without search, each with its
-    reason recorded (not an error), in every mode: an edge count that is
-    not 2**m - 1 for any m (m is None), more vertices than labels, and, for
-    m >= 2, exactly two odd-degree vertices (`conditions.parity_obstruction`;
-    the reason names the two).
-    Otherwise the engine explores every injective assignment compatible with
-    the occupancy bitsets: one per affine orbit in first and count mode,
-    every one in all mode.
+    When `conditions.obstruction` gives a reason, the outcome is zero in
+    every mode, with that reason recorded (not an error) and no node
+    explored.  Otherwise the engine explores every injective assignment
+    compatible with the occupancy bitsets: one per affine orbit in first
+    and count mode, every one in all mode.
     """
     if cfg is None:
         cfg = SearchConfig()
     m = feasible_ground_size(g)
-    if m is None:
-        return _no_labeling(None, f"edge count {len(g.edges)} is not 2^m - 1 for any m")
+    reason = obstruction(g, m)
+    if reason is not None:
+        return SearchOutcome(m, 0, (), 0, True, reason)
     check_ground_size(m)
-    n = g.n
-
-    if n == 0:
+    if g.n == 0:
         wits = (Labeling(m, ()),) if cfg.mode != "count" else ()
         return SearchOutcome(
             m=m, count_raw=1, witnesses=wits, nodes_explored=0, exhausted=True, reason=None,
         )
-    if n > 1 << m:
-        # Too few labels for distinct vertex labels.  Answer before building
-        # per-vertex state, whose size only the vertex count bounds.
-        return _no_labeling(m, f"more vertices ({n}) than labels ({1 << m})")
-    pair = parity_obstruction(g, m)
-    if pair is not None:
-        return _no_labeling(m, f"vertices {pair[0]} and {pair[1]} are the only odd-degree "
-                               "vertices, so any labeling would give them the same label")
     return _tree_search(g, m, cfg)
-
-
-def _no_labeling(m: int | None, reason: str) -> SearchOutcome:
-    """A closed-form exit's outcome: no labeling, and no node explored."""
-    return SearchOutcome(m, 0, (), 0, True, reason)
 
 
 def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:

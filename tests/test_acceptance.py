@@ -9,13 +9,7 @@ import random
 import time
 from pathlib import Path
 
-from setgraceful.conditions import (
-    NON_STAR_IMPOSSIBLE,
-    STAR_ADMITS,
-    feasible_ground_size,
-    proof_trace,
-    star_theorem_decision,
-)
+from setgraceful.conditions import feasible_ground_size, proof_trace
 from setgraceful.graph import Graph, make_complete_bipartite
 from setgraceful.labeling import Labeling, edge_labels, validate
 from setgraceful.oracle import brute_force_enumerate
@@ -34,8 +28,8 @@ def test_theorem_confirmation_m4():
     t0 = time.time()
     outcome = search(make_complete_bipartite(3, 5), SearchConfig(mode="count"))
     elapsed = time.time() - t0
-    decision = star_theorem_decision(3, 5)
-    assert decision.kind == NON_STAR_IMPOSSIBLE and decision.m == 4
+    trace = proof_trace(3, 5)
+    assert trace is not None and trace.m == 4
     assert outcome.exhausted
     assert outcome.count_raw == 0
     assert outcome.m == 4
@@ -54,11 +48,9 @@ def test_theorem_confirmation_m_le_3():
             if target % p:
                 continue
             q = target // p
-            decision = star_theorem_decision(p, q)
             outcome = search(make_complete_bipartite(p, q), SearchConfig(mode="count"))
             assert outcome.exhausted
-            is_star = decision.kind == STAR_ADMITS
-            assert (outcome.count_raw > 0) == is_star
+            assert (outcome.count_raw > 0) == (proof_trace(p, q) is None)
             checked.append((p, q, outcome.count_raw))
     elapsed = time.time() - t0
     assert elapsed < 5

@@ -17,6 +17,8 @@ from setgraceful.cli import main
 from setgraceful.conditions import proof_trace
 from setgraceful.search import SearchOutcome
 
+DATA = Path(__file__).parent / "data"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -398,6 +400,19 @@ def test_theorem_m4_confirms_star_theorem(capsys):
     assert "all pairs agree: yes" in out
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("--m", "4"), "theorem_m4.txt"),
+    (("--m", "4", "--json"), "theorem_m4.json"),
+    (("--m", "6"), "theorem_m6.txt"),
+], ids=["m4", "m4-json", "m6"])
+def test_theorem_output_matches_golden(capsys, argv, golden):
+    # The whole report, byte for byte: decisions, traces, confirmations, and
+    # the JSON decision objects.
+    code, out, _ = run(capsys, "theorem", *argv)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
 def test_theorem_m5_exhaustive(capsys):
     code, out, _ = run(capsys, "theorem", "--m", "5", "--exhaustive-up-to", "5")
     assert code == 0
@@ -473,14 +488,17 @@ def test_theorem_builds_each_trace_once(capsys, monkeypatch):
         calls = []
 
         def counting(p, q):
-            calls.append((p, q))
-            return proof_trace(p, q)
+            trace = proof_trace(p, q)
+            calls.append((p, q, trace is not None))
+            return trace
 
         monkeypatch.setattr(conditions, "proof_trace", counting)
         code, _, _ = run(capsys, "theorem", "--m", "6", *extra)
         assert code == 0
-        # 63 has four non-star factor pairs: (3,21), (7,9), (9,7), (21,3).
-        assert len(calls) == 4
+        # One call per factor pair of 63: the two stars get None, the four
+        # others a trace.
+        assert calls == [(1, 63, False), (3, 21, True), (7, 9, True), (9, 7, True),
+                         (21, 3, True), (63, 1, False)]
 
 
 def test_theorem_bad_m_exits_2(capsys):

@@ -4,16 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from setgraceful.conditions import (
-    EDGE_COUNT_INFEASIBLE,
-    NON_STAR_IMPOSSIBLE,
-    STAR_ADMITS,
-    ProofStep,
-    TraceNotApplicableError,
-    feasible_ground_size,
-    proof_trace,
-    star_theorem_decision,
-)
+from setgraceful.conditions import ProofStep, feasible_ground_size, proof_trace
 from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
 from setgraceful.labeling import Labeling, edge_labels, validate
 from setgraceful.search import SearchConfig, search
@@ -85,23 +76,28 @@ def test_star_construction_rejects_above_cap():
 
 
 def test_decision_3_5_impossible():
-    d = star_theorem_decision(3, 5)
-    assert d.kind == NON_STAR_IMPOSSIBLE and d.m == 4
+    t = proof_trace(3, 5)
+    assert t is not None and t.m == 4
 
 
 def test_decision_1_7_star():
-    d = star_theorem_decision(1, 7)
-    assert d.kind == STAR_ADMITS and d.m == 3
+    # A star admits a labeling, so neither orientation has a contradiction to trace.
+    assert proof_trace(1, 7) is None
+    assert proof_trace(7, 1) is None
 
 
 def test_decision_2_4_infeasible():
-    d = star_theorem_decision(2, 4)
-    assert d.kind == EDGE_COUNT_INFEASIBLE and d.m is None
+    # No ground size fits 8 edges: proof_trace refuses the pair, and search
+    # answers with m None.
+    with pytest.raises(ValueError, match="edge count 8 is not 2\\^m - 1"):
+        proof_trace(2, 4)
+    outcome = search(make_complete_bipartite(2, 4))
+    assert outcome.m is None and outcome.count_raw == 0
 
 
 def test_decision_rejects_zero_side():
-    with pytest.raises(ValueError):
-        star_theorem_decision(0, 3)
+    with pytest.raises(ValueError, match="side sizes must be positive"):
+        proof_trace(0, 3)
 
 
 def test_decision_agrees_with_search_up_to_m4():
@@ -112,16 +108,23 @@ def test_decision_agrees_with_search_up_to_m4():
             if target % p:
                 continue
             q = target // p
-            decision = star_theorem_decision(p, q)
             mode = "count" if (p != 1 and q != 1) or m <= 3 else "first"
             outcome = search(make_complete_bipartite(p, q), SearchConfig(mode=mode))
             assert outcome.exhausted
-            assert (outcome.count_raw > 0) == (decision.kind == STAR_ADMITS)
+            assert (outcome.count_raw > 0) == (proof_trace(p, q) is None)
 
 
-def test_trace_rejects_star():
-    with pytest.raises(TraceNotApplicableError):
-        proof_trace(1, 7)
+def test_trace_is_none_exactly_for_stars_through_m10():
+    pairs = 0
+    for m in range(1, 11):
+        target = (1 << m) - 1
+        for p in range(1, target + 1):
+            if target % p == 0:
+                q = target // p
+                assert (proof_trace(p, q) is None) == (p == 1 or q == 1)
+                pairs += 1
+    # 1, 3, 7, 15, 31, 63, 127, 255, 511, 1023 have 1, 2, 2, 4, 2, 6, 2, 8, 4, 8 divisors.
+    assert pairs == 39
 
 
 def test_trace_rejects_infeasible_edge_count():

@@ -1,7 +1,9 @@
-"""Every public top-level function, class and constant in the package has a
-caller: some module of the package or of perfbench names it outside its own
-definition.  Tests do not count, so a helper that only its own tests call
-fails here."""
+"""Every top-level function, class and constant in the package has a caller
+outside its own definition.  A public name's caller may be any module of the
+package or of perfbench; a private name's (one with a leading underscore)
+must be in its own module, so two modules' private helpers of one name do
+not vouch for each other.  Tests do not count, so a helper that only its own
+tests call fails here."""
 
 import ast
 from collections import Counter
@@ -47,11 +49,11 @@ def test_every_public_definition_has_a_caller():
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
+        in_module = _names(tree)
         for node in tree.body:
             for name in _defined(node):
-                if name.startswith("_"):
-                    continue
+                callers = in_module if name.startswith("_") else used
                 # A definition's references to itself (recursion) are not callers.
-                if used[name] - _names(node)[name] == 0:
+                if callers[name] - _names(node)[name] == 0:
                     unused.append(f"{path.name}:{name}")
     assert unused == []

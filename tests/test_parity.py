@@ -94,10 +94,12 @@ def test_parity_obstruction_on_named_graphs():
 
 def test_edge_cases_match_oracle():
     # K_2 (m = 1, two odd-degree vertices, 2 labelings), K_2 plus an isolated
-    # vertex (three vertices, two labels), and the m = 0 graphs.
+    # vertex (three vertices, two labels), P_4 plus an isolated vertex (the
+    # vertex count is the reason given, ahead of parity), and the m = 0 graphs.
     cases = [
         (make_path(2), 2, None),
         (Graph(3, ((0, 1),)), 0, "more vertices (3) than labels (2)"),
+        (Graph(5, make_path(4).edges), 0, "more vertices (5) than labels (4)"),
         (Graph(0, ()), 1, None),
         (Graph(1, ()), 1, None),
         (Graph(2, ()), 0, "more vertices (2) than labels (1)"),

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from setgraceful.conditions import ProofStep, ProofTrace, StarDecision
+from setgraceful.conditions import ProofStep, ProofTrace
 from setgraceful.graph import Graph, make_cycle, read_graph, write_graph
 from setgraceful.labeling import Labeling, ValidationReport
 from setgraceful.record import Record
@@ -26,8 +26,6 @@ CASES = [
     (ValidationReport, REPORT_FIELDS, ((0, 1),) + REPORT_FIELDS[1:4] + (False,),
      "ValidationReport(vertex_witness=None, edge_witness=None, missing_label=None, "
      "empty_edge=None, valid=True)"),
-    (StarDecision, ("star-admits", 3), ("non-star-impossible", 3),
-     "StarDecision(kind='star-admits', m=3)"),
     (ProofStep, STEP, ("EmptyExcluded",) + STEP[1:],
      "ProofStep(kind='NonStarProduct', numbers={'p': 3, 'q': 5, 'product': 8}, "
      "conclusion='8 > 0')"),
@@ -153,8 +151,7 @@ def test_keyword_and_default_construction():
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'reason'"):
         SearchOutcome(3, 0, (), 0, True)
     assert ProofTrace(p=3, q=5, m=4, steps=()) == ProofTrace(3, 5, 4, ())
-    assert StarDecision(kind="k", m=None) == StarDecision("k", None)
-    assert StarDecision(m=3, kind="k") == StarDecision("k", 3)
+    assert ProofTrace(m=4, steps=(), q=5, p=3) == ProofTrace(3, 5, 4, ())
     fields = dict(zip(
         ("vertex_witness", "edge_witness", "missing_label", "empty_edge", "valid"),
         REPORT_FIELDS))
