@@ -17,19 +17,13 @@ from typing import TYPE_CHECKING
 
 from setgraceful.graph import (
     Graph,
-    GraphParseError,
     make_complete_bipartite,
     make_cycle,
     make_path,
     read_graph,
     write_graph,
 )
-from setgraceful.labeling import (
-    LabelingParseError,
-    read_labeling,
-    validate,
-    write_labeling,
-)
+from setgraceful.labeling import read_labeling, validate, write_labeling
 from setgraceful.labels import MAX_GROUND_SIZE, MODES
 
 # The commands that search or decide import `search` and `conditions`
@@ -104,7 +98,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         with open(args.labeling, encoding="utf-8") as fh:
             f = read_labeling(fh)
         report = validate(g, f)
-    except (OSError, GraphParseError, LabelingParseError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if args.json:
         payload = _fields(report)
@@ -169,7 +163,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     try:
         g = _load_graph(args.graph)
-    except (OSError, GraphParseError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if args.emit and args.mode == "count":
         return _fail("--emit needs --mode first or --mode all (count keeps no witnesses)")

@@ -4,27 +4,24 @@ Vertices are dense indices 0..n-1.  Edge lists are canonicalized on
 construction (u < v within an edge, lexicographic order overall), so every
 consumer sees the same deterministic edge order.
 
-Graph file format (UTF-8 text): an optional header line ``vertices N``,
-then one edge per line as two whitespace-separated decimal indices.  ``#``
-starts a comment.  The vertex count is max(N, 1 + largest index used), so
-isolated vertices require the header.
+Graph file format (UTF-8 text, in the grammar of `labels`): an optional
+header line ``vertices N``, then one edge per line as two vertex indices.
+The vertex count is max(N, 1 + largest index used), so isolated vertices
+require the header.
 """
 
 from __future__ import annotations
 
 from typing import IO, Iterable
 
+from setgraceful.labels import ParseError, content_lines, parse_natural
 from setgraceful.record import Record, set_field
 
 Edge = tuple[int, int]
 
 
-class GraphParseError(ValueError):
+class GraphParseError(ParseError):
     """Malformed graph file; carries the offending 1-based line number."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 class Graph(Record):
@@ -103,38 +100,27 @@ def read_graph(stream: IO[str] | Iterable[str]) -> Graph:
     edges: list[Edge] = []
     seen: set[Edge] = set()
     max_index = -1
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vertices":
-            if header_n is not None:
-                raise GraphParseError(lineno, "duplicate 'vertices' header")
-            if edges:
-                raise GraphParseError(lineno, "'vertices' header must precede all edges")
-            if len(parts) != 2:
-                raise GraphParseError(lineno, f"expected 'vertices N', got {line!r}")
-            try:
-                header_n = int(parts[1])
-            except ValueError:
-                raise GraphParseError(lineno, f"vertex count is not an integer: {parts[1]!r}") from None
-            if header_n < 0:
-                raise GraphParseError(lineno, f"vertex count must be non-negative, got {header_n}")
-            continue
-        if len(parts) != 2:
-            raise GraphParseError(lineno, f"expected 'u v', got {line!r}")
+    for lineno, fields in content_lines(stream):
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(lineno, f"edge endpoints are not integers: {line!r}") from None
-        if u < 0 or v < 0:
-            raise GraphParseError(lineno, f"negative vertex index in edge {line!r}")
-        if u == v:
-            raise GraphParseError(lineno, f"loop at vertex {u} (graph must be simple)")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise GraphParseError(lineno, f"duplicate edge ({e[0]},{e[1]})")
+            if fields[0] == "vertices":
+                if header_n is not None:
+                    raise ValueError("duplicate 'vertices' header")
+                if edges:
+                    raise ValueError("'vertices' header must precede all edges")
+                if len(fields) != 2:
+                    raise ValueError(f"expected 'vertices N', got {' '.join(fields)!r}")
+                header_n = parse_natural(fields[1])
+                continue
+            if len(fields) != 2:
+                raise ValueError(f"expected 'u v', got {' '.join(fields)!r}")
+            u, v = parse_natural(fields[0]), parse_natural(fields[1])
+            if u == v:
+                raise ValueError(f"loop at vertex {u} (graph must be simple)")
+            e = (u, v) if u < v else (v, u)
+            if e in seen:
+                raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+        except ValueError as exc:
+            raise GraphParseError(lineno, str(exc)) from None
         seen.add(e)
         edges.append(e)
         max_index = max(max_index, v, u)

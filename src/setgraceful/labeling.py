@@ -6,10 +6,10 @@ difference of its endpoint labels.  The labeling is *set-graceful* when the
 vertex labels are pairwise distinct and the edge labels hit every nonempty
 subset exactly once.
 
-Labeling file format: a header line ``m <int>``, then one line per vertex,
-``<vertex> <label>``, where the label may be decimal, 0b-prefixed binary, or
-a bare string of exactly m binary digits (see `labels.parse_label`).
-Vertices 0..n-1 must each appear exactly once; ``#`` starts a comment.
+Labeling file format (in the grammar of `labels`): a header line ``m <int>``,
+then one line per vertex, ``<vertex> <label>``, where the label may be
+decimal, 0b-prefixed binary, or a bare string of exactly m binary digits
+(see `labels.parse_label`).  Vertices 0..n-1 must each appear exactly once.
 """
 
 from __future__ import annotations
@@ -17,16 +17,13 @@ from __future__ import annotations
 from typing import IO, Iterable, Sequence
 
 from setgraceful.graph import Graph
-from setgraceful.labels import check_ground_size, parse_label
+from setgraceful.labels import (
+    ParseError, check_ground_size, content_lines, parse_label, parse_natural)
 from setgraceful.record import Record, set_field
 
 
-class LabelingParseError(ValueError):
+class LabelingParseError(ParseError):
     """Malformed labeling file; carries the offending 1-based line number."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 class Labeling(Record):
@@ -91,6 +88,10 @@ def is_set_graceful(g: Graph, m: int, values: Sequence[int]) -> bool:
     if len(values) != g.n:
         raise ValueError(f"labeling covers {len(values)} vertices, graph has {g.n}")
     universe = 1 << check_ground_size(m)
+    # Only 2**m - 1 edges can carry each nonempty label once, so this exit is
+    # exact; it also spares the 2**m-bit mask below (128 MB at m = 30).
+    if len(g.edges) != universe - 1:
+        return False
     for value in values:
         if type(value) is not int or not 0 <= value < universe:
             return False
@@ -164,44 +165,28 @@ def read_labeling(stream: IO[str] | Iterable[str]) -> Labeling:
     """Parse the labeling file format; raises LabelingParseError with a line number."""
     m: int | None = None
     assigned: dict[int, int] = {}
-    last_line = 0
-    for lineno, raw in enumerate(stream, start=1):
-        last_line = lineno
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if m is None:
-            if parts[0] != "m" or len(parts) != 2:
-                raise LabelingParseError(lineno, f"expected header 'm <int>', got {line!r}")
-            try:
-                m = int(parts[1])
-            except ValueError:
-                raise LabelingParseError(lineno, f"ground size is not an integer: {parts[1]!r}") from None
-            try:
-                check_ground_size(m)
-            except ValueError as exc:
-                raise LabelingParseError(lineno, str(exc)) from None
-            continue
-        if len(parts) != 2:
-            raise LabelingParseError(lineno, f"expected '<vertex> <label>', got {line!r}")
+    # End-of-file errors name the last line that holds more than a comment.
+    lineno = 1
+    for lineno, fields in content_lines(stream):
         try:
-            vertex = int(parts[0])
-        except ValueError:
-            raise LabelingParseError(lineno, f"vertex index is not an integer: {parts[0]!r}") from None
-        if vertex < 0:
-            raise LabelingParseError(lineno, f"negative vertex index {vertex}")
-        if vertex in assigned:
-            raise LabelingParseError(lineno, f"vertex {vertex} labeled twice")
-        try:
-            assigned[vertex] = parse_label(parts[1], m)
+            if m is None:
+                if fields[0] != "m" or len(fields) != 2:
+                    raise ValueError(f"expected header 'm <int>', got {' '.join(fields)!r}")
+                m = check_ground_size(parse_natural(fields[1]))
+                continue
+            if len(fields) != 2:
+                raise ValueError(f"expected '<vertex> <label>', got {' '.join(fields)!r}")
+            vertex = parse_natural(fields[0])
+            if vertex in assigned:
+                raise ValueError(f"vertex {vertex} labeled twice")
+            assigned[vertex] = parse_label(fields[1], m)
         except ValueError as exc:
             raise LabelingParseError(lineno, str(exc)) from None
     if m is None:
-        raise LabelingParseError(last_line or 1, "missing header 'm <int>'")
+        raise LabelingParseError(lineno, "missing header 'm <int>'")
     for v in range(len(assigned)):
         if v not in assigned:
-            raise LabelingParseError(last_line or 1, f"vertex {v} has no label")
+            raise LabelingParseError(lineno, f"vertex {v} has no label")
     return Labeling(m, tuple(assigned[v] for v in range(len(assigned))))
 
 

@@ -39,6 +39,8 @@ config always yield the same outcome, node count included.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from setgraceful.conditions import feasible_ground_size, obstruction
 from setgraceful.graph import Graph
 from setgraceful.labeling import Labeling
@@ -85,23 +87,28 @@ def vertex_order(g: Graph) -> list[int]:
     """
     deg = g.degrees()
     adj = g.adjacency()
-    active = [v for v in range(g.n) if deg[v] > 0]
-    isolated = [v for v in range(g.n) if deg[v] == 0]
+    # placed_nbrs[v] counts v's placed neighbors, and is -1 once v is placed.
+    # Each unplaced active vertex has one heap entry (-placed_nbrs[v], v) that
+    # is current, the smallest of which the rule picks; the others are skipped.
+    placed_nbrs = [0] * g.n
+    heap = [(0, v) for v in range(g.n) if deg[v] > 0]  # sorted, so already a heap
+    if heap:
+        # The start goes first, with a count no other vertex reaches.
+        start = max(range(g.n), key=lambda v: (deg[v], -v))
+        placed_nbrs[start] = g.n
+        heappush(heap, (-g.n, start))
     order: list[int] = []
-    if active:
-        start = max(active, key=lambda v: (deg[v], -v))
-        placed_nbrs = [0] * g.n
-        remaining = set(active)
-        current = start
-        while True:
-            order.append(current)
-            remaining.discard(current)
-            if not remaining:
-                break
-            for w in adj[current]:
+    while heap:
+        count, v = heappop(heap)
+        if -count != placed_nbrs[v]:
+            continue
+        order.append(v)
+        placed_nbrs[v] = -1
+        for w in adj[v]:
+            if placed_nbrs[w] >= 0:
                 placed_nbrs[w] += 1
-            current = max(remaining, key=lambda v: (placed_nbrs[v], -v))
-    order.extend(isolated)
+                heappush(heap, (-placed_nbrs[w], w))
+    order.extend(v for v in range(g.n) if deg[v] == 0)
     return order
 
 

@@ -154,6 +154,16 @@ def test_check_parse_error_exits_2(capsys, tmp_path, star_files):
     assert "line 2" in err
 
 
+def test_check_refuses_a_digit_separator(capsys, tmp_path, star_files):
+    # int("1_0") is 10; a labeling file takes ASCII digits only.
+    gpath, _ = star_files
+    bad = tmp_path / "separator.lab"
+    bad.write_text("m 4\n0 0\n1 1_0\n")
+    code, out, err = run(capsys, "check", str(gpath), str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: not a label literal: '1_0'\n"
+
+
 def test_check_json(capsys, star_files):
     gpath, lpath = star_files
     code, out, _ = run(capsys, "check", str(gpath), str(lpath), "--json")

@@ -161,6 +161,15 @@ def test_read_bad_token_reports_line():
         read_graph(io.StringIO("0 1\n1 x\n"))
 
 
+@pytest.mark.parametrize("line", ["0 1_0", "0 +1", "0 \u0663", "vertices 1_2", "0 -1"])
+def test_read_takes_ascii_decimal_naturals_only(line):
+    # int() takes each of these fields ("\u0663" is an Arabic-Indic three);
+    # a graph file does not.
+    with pytest.raises(GraphParseError, match="line 2: expected a natural number") as info:
+        read_graph(io.StringIO(f"# header\n{line}\n"))
+    assert info.value.lineno == 2
+
+
 def test_read_header_grows_vertex_count():
     g = read_graph(io.StringIO("vertices 6\n0 1\n"))
     assert g.n == 6

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -275,3 +276,39 @@ def test_read_labeling_out_of_range_label():
 def test_read_labeling_missing_header():
     with pytest.raises(LabelingParseError, match="header"):
         read_labeling(io.StringIO("0 1\n"))
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("m +1\n", 1),
+    ("m 4\n0 1_0\n", 2),
+    ("m 4\n0 0b1_1\n", 2),
+    ("m 1\n0 0\n+1 1\n", 3),
+    ("m 2\n-1 0\n", 2),
+])
+def test_read_labeling_takes_ascii_digits_only(text, lineno):
+    # int() takes each of these numbers; a labeling file does not.
+    with pytest.raises(LabelingParseError, match=f"line {lineno}: ") as info:
+        read_labeling(io.StringIO(text))
+    assert info.value.lineno == lineno
+
+
+def test_read_labeling_end_of_file_errors_name_last_content_line():
+    with pytest.raises(LabelingParseError, match="line 3: vertex 1 has no label"):
+        read_labeling(io.StringIO("m 2\n0 1\n2 2\n\n# done\n"))
+    with pytest.raises(LabelingParseError, match="line 1: missing header"):
+        read_labeling(io.StringIO("# empty\n\n"))
+
+
+def test_check_of_an_outside_m30_labeling_builds_no_label_mask():
+    # A path has far fewer edges than the 2**30 - 1 labels to cover, so the
+    # verdict needs no 2**30-bit mask of them (128 MB).
+    g = make_path(300)
+    f = Labeling(30, tuple(i if i % 2 == 0 else 2**30 - 1 - i for i in range(300)))
+    tracemalloc.start()
+    try:
+        report = validate(g, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.valid and report.missing_label is not None
+    assert peak < 1 << 20

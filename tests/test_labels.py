@@ -1,5 +1,6 @@
 """Bit-vector label encoding: symmetric difference as the edge label, parsing,
-and the decimal form labeling files are written in."""
+the grammar graph and labeling files share, and the decimal form labeling
+files are written in."""
 
 import io
 import re
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setgraceful.graph import Graph, make_path
-from setgraceful.labeling import Labeling, edge_labels, write_labeling
-from setgraceful.labels import MAX_GROUND_SIZE, check_ground_size, parse_label
+from setgraceful.graph import Graph, GraphParseError, make_path
+from setgraceful.labeling import Labeling, LabelingParseError, edge_labels, write_labeling
+from setgraceful.labels import (
+    MAX_GROUND_SIZE, ParseError, check_ground_size, content_lines, parse_label, parse_natural)
 
 K2 = Graph(2, ((0, 1),))
 
@@ -81,10 +83,36 @@ def test_parse_out_of_range_names_m():
         parse_label("4", 2)
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "0x5", "-1", "0b2"])
+# int() reads "1_0", "+1", "0b1_1", "\u0663" (an Arabic-Indic three) and
+# "-1_0" as numbers; a label literal takes ASCII digits only.
+@pytest.mark.parametrize("bad", ["", "abc", "0x5", "-1", "0b2",
+                                 "1_0", "+1", "0b1_1", "\u0663", "-1_0", "0b", "- 1"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_label(bad, 4)
+
+
+def test_parse_natural_takes_ascii_digits_only():
+    assert [parse_natural("007"), parse_natural("101"), parse_natural("0101", 2)] == [7, 101, 5]
+    for text in ["", "-1", "+1", "1_0", " 1", "1.0", "\u0663", "\uff11", "0x1"]:
+        with pytest.raises(ValueError, match="expected a natural number"):
+            parse_natural(text)
+    with pytest.raises(ValueError):
+        parse_natural("012", 2)
+
+
+def test_content_lines_drop_comments_and_blank_lines():
+    text = "# head\n\n vertices  3 # n\n#\n0\t1\n   \n"
+    assert list(content_lines(io.StringIO(text))) == [(3, ["vertices", "3"]), (5, ["0", "1"])]
+
+
+def test_parse_errors_share_one_class():
+    # The two readers' error classes add nothing but their names.
+    for cls in (GraphParseError, LabelingParseError):
+        assert issubclass(cls, ParseError) and "__init__" not in vars(cls)
+        err = cls(4, "bad")
+        assert isinstance(err, ValueError)
+        assert (err.lineno, str(err)) == (4, "line 4: bad")
 
 
 def test_format_int():

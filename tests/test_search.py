@@ -3,6 +3,7 @@
 First and count mode break the affine symmetry; all mode walks the whole
 tree, so it is the reference with symmetry switched off."""
 
+import random
 import time
 
 import pytest
@@ -39,6 +40,42 @@ def test_vertex_order_isolated_vertices_last():
 def test_vertex_order_is_permutation():
     for _, g, _ in FEASIBLE_CORPUS:
         assert sorted(vertex_order(g)) == list(range(g.n))
+
+
+def quadratic_vertex_order(g):
+    """The order rule written as a scan of every remaining vertex per step."""
+    deg, adj = g.degrees(), g.adjacency()
+    remaining = {v for v in range(g.n) if deg[v] > 0}
+    placed_nbrs = [0] * g.n
+    order = []
+    current = max(remaining, key=lambda v: (deg[v], -v), default=None)
+    while current is not None:
+        order.append(current)
+        remaining.discard(current)
+        for w in adj[current]:
+            placed_nbrs[w] += 1
+        current = max(remaining, key=lambda v: (placed_nbrs[v], -v), default=None)
+    return order + [v for v in range(g.n) if deg[v] == 0]
+
+
+def test_vertex_order_matches_the_scan_on_random_graphs():
+    # Sparse draws leave graphs disconnected and with isolated vertices, so
+    # the rule's jump to a new component is exercised as well.
+    rng = random.Random(2011)
+    for _ in range(3000):
+        n = rng.randint(0, 14)
+        p = rng.choice((0.1, 0.2, 0.4, 0.8))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        assert vertex_order(g) == quadratic_vertex_order(g), g
+
+
+def test_vertex_order_of_a_long_cycle_is_fast():
+    # A per-step scan of every remaining vertex took seconds here.
+    g = make_cycle(4095)
+    started = time.perf_counter()
+    order = vertex_order(g)
+    assert time.perf_counter() - started < 0.5
+    assert order == list(range(4095))
 
 
 def test_config_validation():

@@ -40,6 +40,14 @@ def test_cli_import_skips_dataclasses_and_inspect():
         assert modules.isdisjoint({"dataclasses", "inspect"})
 
 
+def test_graph_import_loads_only_labels_and_record():
+    # graph takes the file grammar from labels, which imports no package module.
+    modules = set(ast.literal_eval(last_line(
+        "import setgraceful.graph; import sys; print(sorted(sys.modules))")))
+    assert {name for name in modules if name.startswith("setgraceful.")} == {
+        "setgraceful.graph", "setgraceful.labels", "setgraceful.record"}
+
+
 def run_cli(*argv: str) -> tuple[int, set[str]]:
     code, modules = last_line(_MODULES_AFTER_MAIN, *argv).split(" ", 1)
     return int(code), set(ast.literal_eval(modules))
@@ -55,9 +63,9 @@ def test_check_loads_no_search_conditions_or_oracle(tmp_path):
                  ("gen", "--type", "path", "--n", "4", "--out", str(tmp_path / "p4.graph"))]:
         code, modules = run_cli(*argv)
         assert code == 0
-        assert "setgraceful.labeling" in modules
-        assert modules.isdisjoint(
-            {"setgraceful.search", "setgraceful.conditions", "setgraceful.oracle"})
+        assert {name for name in modules if name.startswith("setgraceful.")} == {
+            "setgraceful.cli", "setgraceful.graph", "setgraceful.labeling",
+            "setgraceful.labels", "setgraceful.record"}
 
 
 def test_search_loads_no_oracle(tmp_path):
