@@ -1,4 +1,5 @@
-"""Vertex labelings, induced edge labels, the set-graceful predicate and validator.
+"""Vertex labelings, induced edge labels, and the validator that decides the
+set-graceful predicate.
 
 A labeling assigns each vertex a label (a subset of the ground set, encoded
 as an integer below 2**m).  Each edge uv then carries the symmetric
@@ -76,30 +77,6 @@ def edge_labels(g: Graph, f: Labeling) -> list[int]:
     return [values[u] ^ values[v] for u, v in g.edges]
 
 
-def is_set_graceful(g: Graph, m: int, values: Sequence[int]) -> bool:
-    """The set-graceful predicate alone, on a plain sequence of labels.
-
-    True exactly when the n labels are ints in range(2**m), are pairwise
-    distinct, and `edges_cover_once` accepts their edge labels.  No
-    `Labeling` or witness is built, so a caller that only needs the verdict
-    pays for nothing else; `validate` asks it first and builds witnesses
-    only when it says no.
-    """
-    if len(values) != g.n:
-        raise ValueError(f"labeling covers {len(values)} vertices, graph has {g.n}")
-    universe = 1 << check_ground_size(m)
-    # Only 2**m - 1 edges can carry each nonempty label once, so this exit is
-    # exact; it also spares the 2**m-bit mask below (128 MB at m = 30).
-    if len(g.edges) != universe - 1:
-        return False
-    for value in values:
-        if type(value) is not int or not 0 <= value < universe:
-            return False
-    if len(set(values)) != len(values):
-        return False
-    return edges_cover_once(g.edges, (1 << universe) - 2, values)
-
-
 def edges_cover_once(edges: Sequence[tuple[int, int]], full: int, values: Sequence[int]) -> bool:
     """The edge half of the predicate: each edge label occurs once, and
     together they are every nonempty label.
@@ -107,9 +84,8 @@ def edges_cover_once(edges: Sequence[tuple[int, int]], full: int, values: Sequen
     full is the mask of the nonempty labels, ``(1 << 2**m) - 2``; edges and
     full depend only on the graph, so a caller testing many labelings of one
     graph computes them once.  The vertex labels themselves are not checked:
-    that they lie in range(2**m) and are pairwise distinct is tested by
-    `is_set_graceful`, and holds by construction for the oracle's
-    permutations.
+    a `Labeling` keeps them in range(2**m), `validate` tests that they are
+    pairwise distinct, and the oracle's permutations are both by construction.
     """
     # One bit per edge label; a bit met twice is a repeated edge label.
     seen = 0
@@ -140,24 +116,32 @@ def _first_duplicate(items: Iterable[int]) -> tuple[int, int] | None:
 def validate(g: Graph, f: Labeling) -> ValidationReport:
     """Check the set-graceful predicate, reporting every failing component.
 
-    The verdict comes from `is_set_graceful`; a valid labeling gets the one
-    shared all-valid report.  For an invalid one every component is
-    evaluated (no fail-fast) so a CLI report can show each violation.
-    Witnesses are deterministic: the lexicographically smallest offending
-    pair, edge, or missing label.
+    The verdict needs no witness: a valid labeling has 2**m - 1 edges,
+    pairwise distinct vertex labels, and edge labels that `edges_cover_once`
+    accepts, and gets the one shared all-valid report.  For an invalid one
+    every component is evaluated (no fail-fast) so a CLI report can show
+    each violation.  Witnesses are deterministic: the lexicographically
+    smallest offending pair, edge, or missing label.
     """
-    if is_set_graceful(g, f.m, f.values):
+    values = f.values
+    if len(values) != g.n:
+        raise ValueError(f"labeling covers {len(values)} vertices, graph has {g.n}")
+    universe = 1 << f.m
+    # Only 2**m - 1 edges can carry each nonempty label once, so this test is
+    # exact; made first, it also spares the 2**m-bit mask (128 MB at m = 30).
+    if (len(g.edges) == universe - 1 and len(set(values)) == len(values)
+            and edges_cover_once(g.edges, (1 << universe) - 2, values)):
         return _VALID
     labels = edge_labels(g, f)
     present = set(labels)
-    vertex_witness = _first_duplicate(f.values)
+    vertex_witness = _first_duplicate(values)
     dup = _first_duplicate(labels)
     edge_witness = (g.edges[dup[0]], g.edges[dup[1]]) if dup is not None else None
     empty_edge = g.edges[labels.index(0)] if 0 in present else None
     # The labels fill at most len(labels) of the candidates, so the scan
     # stops within len(labels) + 2 steps unless every label is present.
-    missing_label = next((s for s in range(1, 1 << f.m) if s not in present), None)
-    # is_set_graceful said no, so some witness is set.
+    missing_label = next((s for s in range(1, universe) if s not in present), None)
+    # The verdict above is no, so some witness is set.
     return ValidationReport(vertex_witness, edge_witness, missing_label, empty_edge, False)
 
 

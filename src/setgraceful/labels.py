@@ -80,14 +80,11 @@ def parse_label(text: str, m: int) -> int:
             value = parse_natural(stripped[2:], 2)
         elif len(stripped) == m and set(stripped) <= {"0", "1"}:
             value = int(stripped, 2)
-        elif stripped[:1] == "-":
-            # No natural, but reported below as out of range rather than malformed.
-            value = -parse_natural(stripped[1:])
         else:
             value = parse_natural(stripped)
     except ValueError:
         raise ValueError(f"not a label literal: {text!r}") from None
-    if not 0 <= value < 1 << m:
+    if value >= 1 << m:
         raise ValueError(
             f"label {value} out of range for ground size m={m} (must be < 2^{m} = {1 << m})"
         )

@@ -4,7 +4,7 @@ Generate-and-test over every injective label assignment, in lexicographic
 order, with no pruning.  A permutation of range(2**m) is in range and
 injective by construction, so of the set-graceful predicate only its edge
 half, `labeling.edges_cover_once`, is left to test, and that is the one
-`is_set_graceful` calls too.  Deliberately shares no pruning logic or state
+`validate` calls too.  Deliberately shares no pruning logic or state
 with the backtracking searcher (it imports nothing from `search` or
 `conditions`); agreement between the two is the central cross-check of
 this repository.

@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from setgraceful import labeling
 from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
 from setgraceful.labeling import (
     Labeling,
     LabelingParseError,
     ValidationReport,
     edge_labels,
-    is_set_graceful,
     read_labeling,
     validate,
     write_labeling,
 )
 from setgraceful.labels import parse_label
+from setgraceful.oracle import brute_force_enumerate
 
 from conftest import predicate_cases, set_graceful_by_definition
 
@@ -143,34 +144,46 @@ STAR = make_complete_bipartite(1, 3)
 
 
 @given(predicate_cases())
-def test_is_set_graceful_matches_validate(case):
-    # validate takes its verdict from is_set_graceful, so their agreement
-    # alone would miss a false positive; the definition judges both.
+def test_validate_verdict_matches_definition(case):
+    # validate decides the verdict itself, so the definition judges it.
     g, m, values = case
-    expected = set_graceful_by_definition(g, m, values)
-    assert validate(g, Labeling(m, values)).valid == expected
-    assert is_set_graceful(g, m, values) == expected
-    assert is_set_graceful(g, m, list(values)) == expected
+    assert validate(g, Labeling(m, values)).valid == set_graceful_by_definition(g, m, values)
 
 
-def test_is_set_graceful_edge_cases():
-    assert is_set_graceful(K2, 1, (0, 1))
-    assert is_set_graceful(STAR, 2, (0, 1, 2, 3))
-    assert is_set_graceful(Graph(0, ()), 0, ())
-    assert is_set_graceful(Graph(1, ()), 0, (0,))
-    assert not is_set_graceful(Graph(0, ()), 2, ())
+def test_validate_verdict_edge_cases():
+    assert validate(K2, Labeling(1, (0, 1))).valid
+    assert validate(STAR, Labeling(2, (0, 1, 2, 3))).valid
+    assert validate(Graph(0, ()), Labeling(0, ())).valid
+    assert validate(Graph(1, ()), Labeling(0, (0,))).valid
+    assert not validate(Graph(0, ()), Labeling(2, ())).valid
     # Repeated vertex labels, and the wrong edge count for m.
-    assert not is_set_graceful(K2, 1, (1, 1))
-    assert not is_set_graceful(make_path(4), 3, (0, 1, 3, 7))
+    assert not validate(K2, Labeling(1, (1, 1))).valid
+    assert not validate(make_path(4), Labeling(3, (0, 1, 3, 7))).valid
     # Out of range: (4, 5) has the one edge label 1, so an XOR-only test
-    # would accept it at m = 1, where the labels are 0 and 1.
-    assert not is_set_graceful(K2, 1, (4, 5))
-    assert not is_set_graceful(K2, 1, (-1, 0))
-    # Not an int, though 1.0 == 1: a non-int label is outside the label set.
-    assert not is_set_graceful(STAR, 2, (0, 1.0, 2, 3))
-    assert not is_set_graceful(STAR, 2, (0, True, 2, 3))
+    # would accept it at m = 1, where the labels are 0 and 1.  Not an int,
+    # though 1.0 == 1: a non-int label is outside the label set.  A
+    # Labeling holds neither.
+    for m, values in [(1, (4, 5)), (1, (-1, 0)), (2, (0, 1.0, 2, 3)), (2, (0, True, 2, 3))]:
+        with pytest.raises(ValueError, match="at vertex"):
+            Labeling(m, values)
     with pytest.raises(ValueError, match="labeling covers 3 vertices, graph has 2"):
-        is_set_graceful(K2, 1, (0, 1, 0))
+        validate(K2, Labeling(1, (0, 1, 0)))
+
+
+def test_valid_labelings_take_the_witness_free_path(monkeypatch):
+    # A valid labeling is decided without a witness search and gets the one
+    # shared all-valid report; the enumerate_m3 benchmark leans on this.
+    found = [(g, brute_force_enumerate(g, 3))
+             for g in (make_complete_bipartite(1, 7), make_cycle(7))]
+    assert [len(labelings) for _, labelings in found] == [40_320, 2_688]
+
+    def refuse(*args):
+        raise AssertionError("witness search on a valid labeling")
+
+    monkeypatch.setattr(labeling, "_first_duplicate", refuse)
+    monkeypatch.setattr(labeling, "edge_labels", refuse)
+    for g, labelings in found:
+        assert all(validate(g, f) is labeling._VALID for f in labelings)
 
 
 @pytest.mark.parametrize("call", [
@@ -178,9 +191,11 @@ def test_is_set_graceful_edge_cases():
 ], ids=["parse_label"])
 def test_label_range_boundaries(call):
     # m = 2: labels run from 0 to 3; -1 and 4 fall outside on either side.
-    for s in (-1, 4):
-        with pytest.raises(ValueError, match=f"label {s} out of range for ground size m=2"):
-            call(s)
+    # A sign makes no label literal, as in graph files.
+    with pytest.raises(ValueError, match="not a label literal: '-1'"):
+        call(-1)
+    with pytest.raises(ValueError, match="label 4 out of range for ground size m=2"):
+        call(4)
     assert call(0) == 0
     assert call(3) == 3
 
@@ -284,6 +299,7 @@ def test_read_labeling_missing_header():
     ("m 4\n0 0b1_1\n", 2),
     ("m 1\n0 0\n+1 1\n", 3),
     ("m 2\n-1 0\n", 2),
+    ("m 2\n0 -0\n1 1\n", 2),
 ])
 def test_read_labeling_takes_ascii_digits_only(text, lineno):
     # int() takes each of these numbers; a labeling file does not.

@@ -83,10 +83,10 @@ def test_parse_out_of_range_names_m():
         parse_label("4", 2)
 
 
-# int() reads "1_0", "+1", "0b1_1", "\u0663" (an Arabic-Indic three) and
-# "-1_0" as numbers; a label literal takes ASCII digits only.
-@pytest.mark.parametrize("bad", ["", "abc", "0x5", "-1", "0b2",
-                                 "1_0", "+1", "0b1_1", "\u0663", "-1_0", "0b", "- 1"])
+# int() reads "1_0", "+1", "0b1_1", "\u0663" (an Arabic-Indic three),
+# "-1_0" and "-0" as numbers; a label literal takes ASCII digits only.
+@pytest.mark.parametrize("bad", ["", "abc", "0x5", "-1", "0b2", "1_0", "+1",
+                                 "0b1_1", "\u0663", "-1_0", "-0", "0b", "- 1"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_label(bad, 4)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
-from setgraceful.labeling import Labeling, edges_cover_once, is_set_graceful, validate
+from setgraceful.labeling import Labeling, edges_cover_once, validate
 from setgraceful.oracle import CAP, EnumerationCapError, brute_force_enumerate
 
 from conftest import predicate_cases, set_graceful_by_definition
@@ -115,7 +115,6 @@ def test_every_small_graph_matches_definition():
     for g, m in every_small_graph():
         for values in itertools.product(range(1 << m), repeat=g.n):
             expected = set_graceful_by_definition(g, m, values)
-            assert is_set_graceful(g, m, values) == expected, (g, m, values)
             assert validate(g, Labeling(m, values)).valid == expected, (g, m, values)
         found = [f.values for f in brute_force_enumerate(g, m)]
         assert found == definition_filtered(g, m), (g, m)
