@@ -20,10 +20,6 @@ from setgraceful.record import Record, set_field
 Edge = tuple[int, int]
 
 
-class GraphParseError(ParseError):
-    """Malformed graph file; carries the offending 1-based line number."""
-
-
 class Graph(Record):
     """A finite simple graph (no loops, no duplicate edges)."""
 
@@ -54,13 +50,12 @@ class Graph(Record):
         set_field(self, "edges", tuple(canonical))
 
     def adjacency(self) -> list[list[int]]:
-        """Sorted neighbor lists, rebuilt per call."""
+        """Neighbor lists, rebuilt per call; sorted, since the canonical edge
+        order appends each vertex's smaller neighbors, then its larger ones."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for nbrs in adj:
-            nbrs.sort()
         return adj
 
     def degrees(self) -> list[int]:
@@ -95,7 +90,7 @@ def make_cycle(n: int) -> Graph:
 
 
 def read_graph(stream: IO[str] | Iterable[str]) -> Graph:
-    """Parse the graph file format; raises GraphParseError with a line number."""
+    """Parse the graph file format; raises ParseError with a line number."""
     header_n: int | None = None
     edges: list[Edge] = []
     seen: set[Edge] = set()
@@ -120,7 +115,7 @@ def read_graph(stream: IO[str] | Iterable[str]) -> Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
         except ValueError as exc:
-            raise GraphParseError(lineno, str(exc)) from None
+            raise ParseError(lineno, str(exc)) from None
         seen.add(e)
         edges.append(e)
         max_index = max(max_index, v, u)

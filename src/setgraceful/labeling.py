@@ -23,10 +23,6 @@ from setgraceful.labels import (
 from setgraceful.record import Record, set_field
 
 
-class LabelingParseError(ParseError):
-    """Malformed labeling file; carries the offending 1-based line number."""
-
-
 class Labeling(Record):
     """A vertex-indexed assignment of labels over ground size m.
 
@@ -146,7 +142,7 @@ def validate(g: Graph, f: Labeling) -> ValidationReport:
 
 
 def read_labeling(stream: IO[str] | Iterable[str]) -> Labeling:
-    """Parse the labeling file format; raises LabelingParseError with a line number."""
+    """Parse the labeling file format; raises ParseError with a line number."""
     m: int | None = None
     assigned: dict[int, int] = {}
     # End-of-file errors name the last line that holds more than a comment.
@@ -165,12 +161,12 @@ def read_labeling(stream: IO[str] | Iterable[str]) -> Labeling:
                 raise ValueError(f"vertex {vertex} labeled twice")
             assigned[vertex] = parse_label(fields[1], m)
         except ValueError as exc:
-            raise LabelingParseError(lineno, str(exc)) from None
+            raise ParseError(lineno, str(exc)) from None
     if m is None:
-        raise LabelingParseError(lineno, "missing header 'm <int>'")
+        raise ParseError(lineno, "missing header 'm <int>'")
     for v in range(len(assigned)):
         if v not in assigned:
-            raise LabelingParseError(lineno, f"vertex {v} has no label")
+            raise ParseError(lineno, f"vertex {v} has no label")
     return Labeling(m, tuple(assigned[v] for v in range(len(assigned))))
 
 

@@ -22,15 +22,6 @@ from setgraceful.labels import check_ground_size
 CAP = 10_000_000
 
 
-class EnumerationCapError(RuntimeError):
-    """Enumeration would exceed the oracle's hard cap; carries the size."""
-
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"brute force would enumerate {size} assignments (cap {cap})")
-        self.size = size
-        self.cap = cap
-
-
 def brute_force_enumerate(g: Graph, m: int) -> list[Labeling]:
     """All set-graceful labelings of g over ground size m, in lexicographic order.
 
@@ -38,12 +29,12 @@ def brute_force_enumerate(g: Graph, m: int) -> list[Labeling]:
     `edges_cover_once` against the graph's edges and full mask, computed
     once, and builds a `Labeling` only for the ones it accepts.  An m
     inconsistent with the edge count is allowed and simply yields an empty
-    list.  Refuses to run when the number of injective maps exceeds CAP.
+    list.  Raises RuntimeError when the number of injective maps exceeds CAP.
     """
     check_ground_size(m)
     size = math.perm(1 << m, g.n)
     if size > CAP:
-        raise EnumerationCapError(size, CAP)
+        raise RuntimeError(f"brute force would enumerate {size} assignments (cap {CAP})")
     edges = g.edges
     full = (1 << (1 << m)) - 2
     found = []

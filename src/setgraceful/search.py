@@ -54,8 +54,8 @@ class SearchConfig(Record):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if node_limit is not None:
-            # bool is an int subclass, but True is no node count.
-            if not isinstance(node_limit, int) or isinstance(node_limit, bool):
+            # One type test: it also refuses bool, an int subclass whose True is no node count.
+            if type(node_limit) is not int:
                 raise ValueError(f"node_limit must be an int, got {node_limit!r}")
             if node_limit <= 0:
                 raise ValueError(f"node_limit must be positive, got {node_limit}")
@@ -85,16 +85,15 @@ def vertex_order(g: Graph) -> list[int]:
     with the most already-placed neighbors (ties to the smallest index).
     Isolated vertices come last, in index order.
     """
-    deg = g.degrees()
     adj = g.adjacency()
     # placed_nbrs[v] counts v's placed neighbors, and is -1 once v is placed.
     # Each unplaced active vertex has one heap entry (-placed_nbrs[v], v) that
     # is current, the smallest of which the rule picks; the others are skipped.
     placed_nbrs = [0] * g.n
-    heap = [(0, v) for v in range(g.n) if deg[v] > 0]  # sorted, so already a heap
+    heap = [(0, v) for v in range(g.n) if adj[v]]  # sorted, so already a heap
     if heap:
         # The start goes first, with a count no other vertex reaches.
-        start = max(range(g.n), key=lambda v: (deg[v], -v))
+        start = max(range(g.n), key=lambda v: (len(adj[v]), -v))
         placed_nbrs[start] = g.n
         heappush(heap, (-g.n, start))
     order: list[int] = []
@@ -108,7 +107,7 @@ def vertex_order(g: Graph) -> list[int]:
             if placed_nbrs[w] >= 0:
                 placed_nbrs[w] += 1
                 heappush(heap, (-placed_nbrs[w], w))
-    order.extend(v for v in range(g.n) if deg[v] == 0)
+    order.extend(v for v in range(g.n) if not adj[v])
     return order
 
 

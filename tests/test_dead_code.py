@@ -3,7 +3,7 @@ outside its own definition.  A public name's caller may be any module of the
 package or of perfbench; a private name's (one with a leading underscore)
 must be in its own module, so two modules' private helpers of one name do
 not vouch for each other.  Tests do not count, so a helper that only its own
-tests call fails here."""
+tests call fails here.  Nor does any class merely restate its base."""
 
 import ast
 from collections import Counter
@@ -57,3 +57,19 @@ def test_every_public_definition_has_a_caller():
                 if callers[name] - _names(node)[name] == 0:
                     unused.append(f"{path.name}:{name}")
     assert unused == []
+
+
+def test_no_class_restates_its_base():
+    # A subclass whose body is only a docstring or `pass` adds a name and
+    # nothing else; its callers can use the base.
+    empty = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.ClassDef) or not node.bases:
+                continue
+            if all(isinstance(stmt, ast.Pass)
+                   or (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                       and isinstance(stmt.value.value, str))
+                   for stmt in node.body):
+                empty.append(f"{path.name}:{node.name}")
+    assert empty == []

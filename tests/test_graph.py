@@ -5,16 +5,18 @@ import io
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from setgraceful.graph import (
     Graph,
-    GraphParseError,
     make_complete_bipartite,
     make_cycle,
     make_path,
     read_graph,
     write_graph,
 )
+from setgraceful.labels import ParseError
 
 
 def test_rejects_loop():
@@ -47,6 +49,25 @@ def test_rejects_non_int_vertex_count_or_endpoint(n, edges, message):
 def test_edges_canonicalized():
     g = Graph(4, ((3, 1), (2, 0), (1, 0)))
     assert g.edges == ((0, 1), (0, 2), (1, 3))
+
+
+@st.composite
+def shuffled_edge_lists(draw):
+    """(n, edges): a simple graph on n <= 9 vertices, its edges in any order
+    and each in either orientation."""
+    n = draw(st.integers(0, 9))
+    pairs = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in draw(st.permutations(pairs))]
+    return n, edges
+
+
+@given(shuffled_edge_lists())
+def test_adjacency_and_degrees_match_definition(case):
+    n, edges = case
+    g = Graph(n, edges)
+    neighbors = [sorted(b if a == v else a for a, b in edges if v in (a, b)) for v in range(n)]
+    assert g.adjacency() == neighbors
+    assert g.degrees() == [len(nbrs) for nbrs in neighbors]
 
 
 def test_complete_bipartite_star():
@@ -147,17 +168,17 @@ def test_read_simple_graph():
 
 
 def test_read_loop_reports_line():
-    with pytest.raises(GraphParseError, match="line 1"):
+    with pytest.raises(ParseError, match="line 1"):
         read_graph(io.StringIO("0 0\n"))
 
 
 def test_read_duplicate_edge_reports_line():
-    with pytest.raises(GraphParseError, match="line 2"):
+    with pytest.raises(ParseError, match="line 2"):
         read_graph(io.StringIO("0 1\n1 0\n"))
 
 
 def test_read_bad_token_reports_line():
-    with pytest.raises(GraphParseError, match="line 2"):
+    with pytest.raises(ParseError, match="line 2"):
         read_graph(io.StringIO("0 1\n1 x\n"))
 
 
@@ -165,7 +186,7 @@ def test_read_bad_token_reports_line():
 def test_read_takes_ascii_decimal_naturals_only(line):
     # int() takes each of these fields ("\u0663" is an Arabic-Indic three);
     # a graph file does not.
-    with pytest.raises(GraphParseError, match="line 2: expected a natural number") as info:
+    with pytest.raises(ParseError, match="line 2: expected a natural number") as info:
         read_graph(io.StringIO(f"# header\n{line}\n"))
     assert info.value.lineno == 2
 

@@ -12,14 +12,13 @@ from setgraceful import labeling
 from setgraceful.graph import Graph, make_complete_bipartite, make_cycle, make_path
 from setgraceful.labeling import (
     Labeling,
-    LabelingParseError,
     ValidationReport,
     edge_labels,
     read_labeling,
     validate,
     write_labeling,
 )
-from setgraceful.labels import parse_label
+from setgraceful.labels import ParseError, parse_label
 from setgraceful.oracle import brute_force_enumerate
 
 from conftest import predicate_cases, set_graceful_by_definition
@@ -274,22 +273,22 @@ def test_read_labeling_mixed_formats():
 
 
 def test_read_labeling_missing_vertex():
-    with pytest.raises(LabelingParseError, match="vertex 1"):
+    with pytest.raises(ParseError, match="vertex 1"):
         read_labeling(io.StringIO("m 2\n0 1\n2 2\n"))
 
 
 def test_read_labeling_duplicate_vertex():
-    with pytest.raises(LabelingParseError, match="twice"):
+    with pytest.raises(ParseError, match="twice"):
         read_labeling(io.StringIO("m 2\n0 1\n0 2\n"))
 
 
 def test_read_labeling_out_of_range_label():
-    with pytest.raises(LabelingParseError, match="m=2"):
+    with pytest.raises(ParseError, match="m=2"):
         read_labeling(io.StringIO("m 2\n0 4\n"))
 
 
 def test_read_labeling_missing_header():
-    with pytest.raises(LabelingParseError, match="header"):
+    with pytest.raises(ParseError, match="header"):
         read_labeling(io.StringIO("0 1\n"))
 
 
@@ -303,15 +302,15 @@ def test_read_labeling_missing_header():
 ])
 def test_read_labeling_takes_ascii_digits_only(text, lineno):
     # int() takes each of these numbers; a labeling file does not.
-    with pytest.raises(LabelingParseError, match=f"line {lineno}: ") as info:
+    with pytest.raises(ParseError, match=f"line {lineno}: ") as info:
         read_labeling(io.StringIO(text))
     assert info.value.lineno == lineno
 
 
 def test_read_labeling_end_of_file_errors_name_last_content_line():
-    with pytest.raises(LabelingParseError, match="line 3: vertex 1 has no label"):
+    with pytest.raises(ParseError, match="line 3: vertex 1 has no label"):
         read_labeling(io.StringIO("m 2\n0 1\n2 2\n\n# done\n"))
-    with pytest.raises(LabelingParseError, match="line 1: missing header"):
+    with pytest.raises(ParseError, match="line 1: missing header"):
         read_labeling(io.StringIO("# empty\n\n"))
 
 

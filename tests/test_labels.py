@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setgraceful.graph import Graph, GraphParseError, make_path
-from setgraceful.labeling import Labeling, LabelingParseError, edge_labels, write_labeling
+from setgraceful.graph import Graph, make_path, read_graph
+from setgraceful.labeling import Labeling, edge_labels, read_labeling, write_labeling
 from setgraceful.labels import (
     MAX_GROUND_SIZE, ParseError, check_ground_size, content_lines, parse_label, parse_natural)
 
@@ -107,12 +107,13 @@ def test_content_lines_drop_comments_and_blank_lines():
 
 
 def test_parse_errors_share_one_class():
-    # The two readers' error classes add nothing but their names.
-    for cls in (GraphParseError, LabelingParseError):
-        assert issubclass(cls, ParseError) and "__init__" not in vars(cls)
-        err = cls(4, "bad")
-        assert isinstance(err, ValueError)
-        assert (err.lineno, str(err)) == (4, "line 4: bad")
+    # Both readers raise exactly ParseError, a ValueError naming the line.
+    for read, text in ((read_graph, "0 1\n1 2\n# note\n2 x\n"),
+                       (read_labeling, "m 2\n0 0\n1 1\n2 z\n")):
+        with pytest.raises(ParseError) as info:
+            read(io.StringIO(text))
+        assert type(info.value) is ParseError and isinstance(info.value, ValueError)
+        assert info.value.lineno == 4 and str(info.value).startswith("line 4: ")
 
 
 def test_format_int():

@@ -2,6 +2,7 @@
 immutability, repr, the constructors' signatures and their validation messages."""
 
 import copy
+import enum
 import inspect
 import io
 import pickle
@@ -190,3 +191,11 @@ def test_validation_messages(build, message):
     with pytest.raises(ValueError) as excinfo:
         build()
     assert str(excinfo.value) == message
+
+
+def test_node_limit_refuses_int_subclasses():
+    # As for Graph and Labeling, only an int itself is a count, so an IntEnum
+    # member is refused like True.
+    limit = enum.IntEnum("Limit", {"FIVE": 5}).FIVE
+    with pytest.raises(ValueError, match="node_limit must be an int, got <Limit.FIVE: 5>"):
+        SearchConfig(node_limit=limit)
