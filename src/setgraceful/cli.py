@@ -29,7 +29,6 @@ from setgraceful.labels import MAX_GROUND_SIZE, MODES
 # The commands that search or decide import `search` and `conditions`
 # themselves, so that a `check` or `gen` process does not load them.
 if TYPE_CHECKING:
-    from setgraceful.conditions import ProofTrace
     from setgraceful.search import SearchOutcome
 
 EXIT_OK = 0
@@ -239,53 +238,49 @@ def cmd_theorem(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
 
-    records = []
-    traces: list[ProofTrace | None] = []
-    all_agree = True
-    disagreed = False
+    rows = []
     for p, q in pairs:
         # The theorem: a star admits a labeling, and any other shape has a
         # trace of its contradiction.
         trace = proof_trace(p, q)
-        traces.append(trace)
-        kind, trace_payload = "star-admits", None
-        if trace is not None:
-            kind = "non-star-impossible"
-            trace_payload = {**_fields(trace), "steps": [_fields(s) for s in trace.steps]}
-        record: dict = {
-            "p": p,
-            "q": q,
-            "decision": {"kind": kind, "m": m},
-            "trace": trace_payload,
-            "confirm": None,
-        }
+        confirm = None
         if run_exhaustive:
             # First mode walks the count-mode tree until a witness, so it
             # exhausts a non-star exactly as count mode would and stops a
             # star at its first labeling.  A pair the node limit stops is
             # neither confirmed nor contradicted: it does not agree.
             outcome = search(make_complete_bipartite(p, q), cfg)
-            agrees = outcome.exhausted and (outcome.count_raw > 0) == (trace is None)
-            all_agree = all_agree and agrees
-            disagreed = disagreed or (outcome.exhausted and not agrees)
-            record["confirm"] = {
+            confirm = {
                 "mode": "first",
                 "count_raw": outcome.count_raw,
                 "exhausted": outcome.exhausted,
-                "agrees": agrees,
+                "agrees": outcome.exhausted and (outcome.count_raw > 0) == (trace is None),
             }
-        records.append(record)
+        record = {
+            "p": p,
+            "q": q,
+            "decision": {"kind": "star-admits" if trace is None else "non-star-impossible",
+                         "m": m},
+            "trace": None if trace is None else {
+                **_fields(trace), "steps": [_fields(s) for s in trace.steps]},
+            "confirm": confirm,
+        }
+        rows.append((record, trace))
 
-    code = EXIT_OK if all_agree else EXIT_NEGATIVE if disagreed else EXIT_LIMIT
+    confirms = [record["confirm"] for record, _ in rows if record["confirm"] is not None]
+    all_agree = all(c["agrees"] for c in confirms)
+    code = (EXIT_OK if all_agree
+            else EXIT_NEGATIVE if any(c["exhausted"] and not c["agrees"] for c in confirms)
+            else EXIT_LIMIT)
     if args.json:
-        payload = {"m": m, "pairs": records, "all_agree": all_agree,
+        payload = {"m": m, "pairs": [record for record, _ in rows], "all_agree": all_agree,
                    "exhaustive": run_exhaustive}
         print(json.dumps(payload, sort_keys=True))
         return code
 
     print(f"theorem harness: m={m}, |X|={1 << m}, feasible edge count 2^{m} - 1 = {target}")
     print(f"factor pairs of {target}: " + " ".join(f"({p},{q})" for p, q in pairs))
-    for record, trace in zip(records, traces):
+    for record, trace in rows:
         p, q = record["p"], record["q"]
         print()
         print(f"pair ({p},{q}): {record['decision']['kind']} (m={record['decision']['m']})")

@@ -6,9 +6,11 @@ most 2**m vertices.  For m >= 2 a parity argument also rules out every
 graph with exactly two odd-degree vertices (`parity_obstruction`).
 `obstruction` applies these three in order.  For complete bipartite graphs
 the decision is total: stars K_{1,q} with q = 2**m - 1 admit a labeling
-(center 0, leaf i labeled i), every other K_{p,q} does not, and
-`proof_trace` instantiates that contradiction for a concrete (p, q) as a
-checkable list of steps.
+(center 0, leaf i labeled i), every other K_{p,q} does not.  That proof
+is written once, as a table with one row per step: the step's kind, the
+numbers it records, the recheck of its claim, and its wording.
+`proof_trace` instantiates the table for a concrete (p, q), and
+`ProofStep.recheck` looks its kind up in it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class ProofStep(Record):
 
     def recheck(self) -> bool:
         """Re-evaluate the step's numeric claim from its recorded numbers."""
-        return _RECHECKS[self.kind](self.numbers)
+        _, recheck, _ = _STEPS[self.kind]
+        return recheck(self.numbers)
 
 
 class ProofTrace(Record):
@@ -42,21 +45,68 @@ class ProofTrace(Record):
         return "\n".join(f"{i}. {s.kind}: {s.conclusion}" for i, s in enumerate(self.steps, 1))
 
 
-_RECHECKS: dict[str, Callable[[dict[str, int]], bool]] = {
-    "EdgeCountIdentity": lambda ns: ns["p"] * ns["q"] + 1 == 2 ** ns["m"] == ns["universe"],
-    "NonStarProduct": lambda ns: ns["product"] == (ns["p"] - 1) * (ns["q"] - 1) > 0,
-    "UniverseExceedsVertices": lambda ns: ns["universe"] > ns["vertices"] == ns["p"] + ns["q"],
-    "TranslationWitnessExists": lambda ns: ns["unused"] == ns["universe"] - ns["vertices"] >= 1,
-    "EmptyExcluded": lambda ns: ns["unused"] >= 1,
-    "UniqueDecomposition": lambda ns: ns["edge_count"] == ns["universe"] - 1,
-    "InvolutionPairing": lambda ns: ns["pair_size"] == 2 and ns["p"] >= 2,
-    "EvenSide": lambda ns: (
-        ns["pair_size"] == 2 and ns["p"] * ns["q"] == ns["universe"] - 1 and ns["p"] % 2 == 1
+# The proof, one row per step in order: the step's kind, the names of the
+# numbers it records, the recheck of its claim from those numbers, and its
+# wording, a template filled from the numbers `proof_trace` computes.
+_STEPS: dict[str, tuple[tuple[str, ...], Callable[[dict[str, int]], bool], str]] = {
+    "EdgeCountIdentity": (
+        ("p", "q", "m", "universe"),
+        lambda ns: ns["p"] * ns["q"] + 1 == 2 ** ns["m"] == ns["universe"],
+        "|E| = |P|*|Q| = {p}*{q} = {edge_count}, so |X| = |E| + 1 = {universe} = 2^{m}.",
     ),
-    "OddUniverseContradiction": lambda ns: ns["universe"] % 2 == 0 and ns["m"] >= 1,
+    "NonStarProduct": (
+        ("p", "q", "product"),
+        lambda ns: ns["product"] == (ns["p"] - 1) * (ns["q"] - 1) > 0,
+        "(|P| - 1)*(|Q| - 1) = {p_less}*{q_less} = {product} > 0, "
+        "so neither side is a single vertex.",
+    ),
+    "UniverseExceedsVertices": (
+        ("p", "q", "m", "universe", "vertices"),
+        lambda ns: ns["universe"] > ns["vertices"] == ns["p"] + ns["q"],
+        "|X| = {universe} > {vertices} = |V|, because |P|*|Q| + 1 > |P| + |Q| "
+        "whenever (|P| - 1)*(|Q| - 1) > 0.",
+    ),
+    "TranslationWitnessExists": (
+        ("universe", "vertices", "unused"),
+        lambda ns: ns["unused"] == ns["universe"] - ns["vertices"] >= 1,
+        "an injective labeling f uses {vertices} of the {universe} labels, leaving "
+        "{unused} unused; pick an unused A and set g(v) = A xor f(v), which keeps "
+        "every edge label and stays set-graceful.",
+    ),
+    "EmptyExcluded": (
+        ("unused",),
+        lambda ns: ns["unused"] >= 1,
+        "A is outside the image of f, so g(v) = A xor f(v) is never the empty label.",
+    ),
+    "UniqueDecomposition": (
+        ("universe", "edge_count"),
+        lambda ns: ns["edge_count"] == ns["universe"] - 1,
+        "each g(u) with u in P is one of the {edge_count} nonzero edge labels, so "
+        "g(u) = g(p') xor g(q') for some p' in P, q' in Q; injectivity of the edge "
+        "map makes p' unique.",
+    ),
+    "InvolutionPairing": (
+        ("p", "pair_size"),
+        lambda ns: ns["pair_size"] == 2 and ns["p"] >= 2,
+        "mapping u to that unique p' = theta(u) gives theta(u) != u (else g(q') "
+        "would be empty) and theta(theta(u)) = u, a fixed-point-free involution on P.",
+    ),
+    "EvenSide": (
+        ("p", "q", "universe", "pair_size"),
+        lambda ns: (
+            ns["pair_size"] == 2 and ns["p"] * ns["q"] == ns["universe"] - 1 and ns["p"] % 2 == 1
+        ),
+        "the pairs {{u, theta(u)}} partition P into blocks of size 2, "
+        "so |P| = {p} would be even.",
+    ),
+    "OddUniverseContradiction": (
+        ("p", "q", "m", "universe"),
+        lambda ns: ns["universe"] % 2 == 0 and ns["m"] >= 1,
+        "|P| even would make |X| = |P|*|Q| + 1 odd, but |X| = {universe} = 2^{m} "
+        "is even for m = {m} >= 1; contradiction, so K_{{{p},{q}}} has no "
+        "set-graceful labeling.",
+    ),
 }
-# The proof's steps in order, one per recheck.
-STEP_KINDS = tuple(_RECHECKS)
 
 
 def _exact_log2(t: int) -> int | None:
@@ -110,9 +160,11 @@ def proof_trace(p: int, q: int) -> ProofTrace | None:
     """Decide K_{p,q} with pq = 2**m - 1: None for a star, else the contradiction.
 
     A star admits a labeling, so it has no trace.  Any other shape gets the
-    parity contradiction, every step's arithmetic re-verified while the
-    trace is built.  Raises ValueError for a side below 1, and when pq + 1
-    is not a power of two.
+    parity contradiction: the proof's numbers are computed once, and each
+    row of the step table, in table order, records its share of them,
+    words its conclusion from them and has its arithmetic rechecked while
+    the trace is built.  Raises ValueError for a side below 1, and when
+    pq + 1 is not a power of two.
     """
     if p < 1 or q < 1:
         raise ValueError(f"side sizes must be positive, got p={p}, q={q}")
@@ -123,70 +175,15 @@ def proof_trace(p: int, q: int) -> ProofTrace | None:
         return None
     universe = 1 << m
     vertices = p + q
-    product = (p - 1) * (q - 1)
-    unused = universe - vertices
-    name = f"K_{{{p},{q}}}"
-
-    steps = (
-        ProofStep(
-            "EdgeCountIdentity",
-            {"p": p, "q": q, "m": m, "universe": universe},
-            f"|E| = |P|*|Q| = {p}*{q} = {p * q}, so |X| = |E| + 1 = {universe} = 2^{m}.",
-        ),
-        ProofStep(
-            "NonStarProduct",
-            {"p": p, "q": q, "product": product},
-            f"(|P| - 1)*(|Q| - 1) = {p - 1}*{q - 1} = {product} > 0, "
-            "so neither side is a single vertex.",
-        ),
-        ProofStep(
-            "UniverseExceedsVertices",
-            {"p": p, "q": q, "m": m, "universe": universe, "vertices": vertices},
-            f"|X| = {universe} > {vertices} = |V|, because |P|*|Q| + 1 > |P| + |Q| "
-            "whenever (|P| - 1)*(|Q| - 1) > 0.",
-        ),
-        ProofStep(
-            "TranslationWitnessExists",
-            {"universe": universe, "vertices": vertices, "unused": unused},
-            f"an injective labeling f uses {vertices} of the {universe} labels, leaving "
-            f"{unused} unused; pick an unused A and set g(v) = A xor f(v), which keeps "
-            "every edge label and stays set-graceful.",
-        ),
-        ProofStep(
-            "EmptyExcluded",
-            {"unused": unused},
-            "A is outside the image of f, so g(v) = A xor f(v) is never the empty label.",
-        ),
-        ProofStep(
-            "UniqueDecomposition",
-            {"universe": universe, "edge_count": p * q},
-            f"each g(u) with u in P is one of the {universe - 1} nonzero edge labels, so "
-            "g(u) = g(p') xor g(q') for some p' in P, q' in Q; injectivity of the edge "
-            "map makes p' unique.",
-        ),
-        ProofStep(
-            "InvolutionPairing",
-            {"p": p, "pair_size": 2},
-            "mapping u to that unique p' = theta(u) gives theta(u) != u (else g(q') "
-            "would be empty) and theta(theta(u)) = u, a fixed-point-free involution on P.",
-        ),
-        ProofStep(
-            "EvenSide",
-            {"p": p, "q": q, "universe": universe, "pair_size": 2},
-            f"the pairs {{u, theta(u)}} partition P into blocks of size 2, "
-            f"so |P| = {p} would be even.",
-        ),
-        ProofStep(
-            "OddUniverseContradiction",
-            {"p": p, "q": q, "m": m, "universe": universe},
-            f"|P| even would make |X| = |P|*|Q| + 1 odd, but |X| = {universe} = 2^{m} "
-            f"is even for m = {m} >= 1; contradiction, so {name} has no "
-            "set-graceful labeling.",
-        ),
-    )
-    if tuple(step.kind for step in steps) != STEP_KINDS:
-        raise AssertionError("proof steps out of canonical order")
-    for step in steps:
+    numbers = {"p": p, "q": q, "m": m, "universe": universe, "vertices": vertices,
+               "product": (p - 1) * (q - 1), "unused": universe - vertices,
+               "edge_count": p * q, "pair_size": 2}
+    # Only the wording reads the sides less one.
+    words = {**numbers, "p_less": p - 1, "q_less": q - 1}
+    steps = []
+    for kind, (keys, _, wording) in _STEPS.items():
+        step = ProofStep(kind, {key: numbers[key] for key in keys}, wording.format_map(words))
         if not step.recheck():
-            raise AssertionError(f"proof step {step.kind} failed its arithmetic recheck")
-    return ProofTrace(p=p, q=q, m=m, steps=steps)
+            raise AssertionError(f"proof step {kind} failed its arithmetic recheck")
+        steps.append(step)
+    return ProofTrace(p=p, q=q, m=m, steps=tuple(steps))

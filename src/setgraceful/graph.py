@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import IO, Iterable
 
-from setgraceful.labels import ParseError, content_lines, parse_natural
+from setgraceful.labels import ParseError, check_count, content_lines, parse_natural
 from setgraceful.record import Record, set_field
 
 Edge = tuple[int, int]
@@ -26,11 +26,7 @@ class Graph(Record):
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Edge]) -> None:
-        # One type test: it also refuses bool, an int subclass whose True is no vertex count.
-        if type(n) is not int:
-            raise ValueError(f"vertex count must be an int, got {n!r}")
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        check_count(n, "vertex count")
         canonical = []
         seen = set()
         for u, v in edges:

@@ -36,7 +36,7 @@ class Labeling(Record):
         check_ground_size(m)
         values = tuple(values)
         limit = 1 << m
-        # One type test, as in check_ground_size, so bool is refused too.  The
+        # One type test, as in check_count, so bool is refused too.  The
         # hot loop keeps no index and no closure (which would make `value` a
         # cell); an earlier label that is this same object would have failed.
         for value in values:

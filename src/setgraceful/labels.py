@@ -5,11 +5,12 @@ A label is a subset of the ground set X = {x0, ..., x_{m-1}}, stored as a
 non-negative integer whose bit i records membership of x_i.  The label
 universe for ground size m is range(2**m), the value 0 is the empty set,
 and the symmetric difference of two labels is their XOR, written inline as
-``a ^ b``.  This module holds the ground-size cap, the search modes, and
-what both file formats share: ``#`` starts a comment, fields are separated
-by whitespace, numbers are naturals in ASCII decimal digits (`content_lines`,
-`parse_natural`), and a malformed line raises `ParseError` with its number.
-Label literals (`parse_label`) also take binary.
+``a ^ b``.  This module holds the ground-size cap, the search modes, the
+one rule for counts (`check_count`), and what both file formats share:
+``#`` starts a comment, fields are separated by whitespace, numbers are
+naturals in ASCII decimal digits (`content_lines`, `parse_natural`), and a
+malformed line raises `ParseError` with its number.  Label literals
+(`parse_label`) also take binary.
 """
 
 from __future__ import annotations
@@ -25,13 +26,22 @@ MAX_GROUND_SIZE = 30
 MODES = ("first", "count", "all")
 
 
+def check_count(value: int, name: str, least: int = 0) -> int:
+    """Return value unchanged, or raise ValueError naming it unless it is an int >= least.
+
+    least is 0 (the value must be non-negative) or 1 (it must be positive).
+    """
+    # One type test: it also refuses bool, an int subclass whose True is no count.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
+    return value
+
+
 def check_ground_size(m: int) -> int:
     """Return m unchanged, or raise ValueError if it is not a usable ground size."""
-    # One type test: it also refuses bool, an int subclass whose True is no ground size.
-    if type(m) is not int:
-        raise ValueError(f"ground size must be an int, got {m!r}")
-    if m < 0:
-        raise ValueError(f"ground size must be non-negative, got {m}")
+    check_count(m, "ground size")
     if m > MAX_GROUND_SIZE:
         raise ValueError(f"ground size {m} exceeds the supported cap {MAX_GROUND_SIZE}")
     return m

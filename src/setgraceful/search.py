@@ -44,7 +44,7 @@ from heapq import heappop, heappush
 from setgraceful.conditions import feasible_ground_size, obstruction
 from setgraceful.graph import Graph
 from setgraceful.labeling import Labeling
-from setgraceful.labels import MODES, check_ground_size
+from setgraceful.labels import MODES, check_count, check_ground_size
 from setgraceful.record import Record, set_field
 
 class SearchConfig(Record):
@@ -54,11 +54,7 @@ class SearchConfig(Record):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if node_limit is not None:
-            # One type test: it also refuses bool, an int subclass whose True is no node count.
-            if type(node_limit) is not int:
-                raise ValueError(f"node_limit must be an int, got {node_limit!r}")
-            if node_limit <= 0:
-                raise ValueError(f"node_limit must be positive, got {node_limit}")
+            check_count(node_limit, "node_limit", 1)
         set_field(self, "mode", mode)
         set_field(self, "node_limit", node_limit)
 

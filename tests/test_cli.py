@@ -14,7 +14,7 @@ import setgraceful
 from setgraceful import conditions
 from setgraceful import search as search_module
 from setgraceful.cli import main
-from setgraceful.conditions import proof_trace
+from setgraceful.conditions import ProofStep, proof_trace
 from setgraceful.search import SearchOutcome
 
 DATA = Path(__file__).parent / "data"
@@ -509,6 +509,17 @@ def test_theorem_builds_each_trace_once(capsys, monkeypatch):
         # others a trace.
         assert calls == [(1, 63, False), (3, 21, True), (7, 9, True), (9, 7, True),
                          (21, 3, True), (63, 1, False)]
+
+
+def test_theorem_json_traces_recheck_from_the_output_alone(capsys):
+    # A trace is a certificate: each step read back from the JSON rechecks
+    # with no other input.
+    code, out, _ = run(capsys, "theorem", "--m", "6", "--json")
+    assert code == 0
+    traces = [rec["trace"] for rec in json.loads(out)["pairs"] if rec["trace"] is not None]
+    steps = [ProofStep(**step) for trace in traces for step in trace["steps"]]
+    assert (len(traces), len(steps)) == (4, 36)
+    assert all(step.recheck() for step in steps)
 
 
 def test_theorem_bad_m_exits_2(capsys):

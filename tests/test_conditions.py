@@ -133,11 +133,9 @@ def test_trace_rejects_infeasible_edge_count():
 
 
 def test_trace_3_5_shape():
-    from setgraceful.conditions import STEP_KINDS
-
     t = proof_trace(3, 5)
     assert t.m == 4
-    assert tuple(s.kind for s in t.steps) == STEP_KINDS == (
+    assert tuple(s.kind for s in t.steps) == (
         "EdgeCountIdentity",
         "NonStarProduct",
         "UniverseExceedsVertices",
@@ -182,3 +180,13 @@ def test_trace_recheck_rejects_tampered_numbers():
     assert not tampered(even, p=2, q=7, universe=15).recheck()
     pairing = steps["InvolutionPairing"]
     assert not tampered(pairing, p=1).recheck()
+
+
+def test_no_recheck_is_vacuous():
+    # Each step's recheck reads its numbers: some single recorded number,
+    # moved by one either way or set to 0, makes it fail.
+    for step in proof_trace(3, 5).steps:
+        tampered = [ProofStep(step.kind, {**step.numbers, key: new}, step.conclusion)
+                    for key, value in step.numbers.items()
+                    for new in (value - 1, value + 1, 0) if new != value]
+        assert not all(t.recheck() for t in tampered), step.kind

@@ -1,9 +1,11 @@
 """README.md stays true to the code: every ```python block runs as written,
 so its import paths and its asserted results cannot go stale, its lists
-of stable ``--json`` field names are the keys the commands print, and its
-CLI examples use only the options the commands have."""
+of stable ``--json`` field names are the keys the commands print, its
+CLI examples use only the options the commands have, and it names every
+module and every result type the package has."""
 
 import argparse
+import ast
 import json
 import re
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 from setgraceful.cli import build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
+PACKAGE = Path(__file__).parents[1] / "src" / "setgraceful"
 
 
 def test_readme_python_blocks_run(capsys):
@@ -78,3 +81,25 @@ def test_readme_cli_examples_use_real_options():
     for command, names in options.items():
         for name in names:
             assert re.search(rf"(?<![\w-]){name}(?![\w-])", text), (command, name)
+
+
+def record_types() -> set[str]:
+    """The classes the package defines on `record.Record`, directly or not."""
+    bases = {node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+             for path in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef)}
+    records = {"Record"}
+    while grown := {name for name, names in bases.items() if names & records} - records:
+        records |= grown
+    return records - {"Record"}
+
+
+def test_readme_names_every_module_and_result_type():
+    text = README.read_text()
+    types = text.split("The result types (", 1)[1].split(")", 1)[0]
+    assert set(re.findall(r"`(\w+)`", types)) == record_types()
+    # The modules are the backticked names outside the parentheses that describe them.
+    modules = text.split("Modules map one-to-one", 1)[1].split("\n\n", 1)[0]
+    listed = set(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", modules, flags=re.S)))
+    assert listed == {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
