@@ -4,6 +4,9 @@ Exit codes: 0 success (valid / found / all confirmations agree),
 1 checked-and-negative (invalid labeling, nothing found, disagreement),
 2 usage or input error (a closed standard output included),
 3 resource limit hit or interrupted.
+
+Commands raise on bad input; `main` alone turns a `ValueError` or
+`OSError` into `error: <message>` on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -59,31 +62,25 @@ def _load_graph(path: str) -> Graph:
 # ---------------------------------------------------------------- gen
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        if args.type == "complete-bipartite":
-            if args.p is None or args.q is None:
-                return _fail("complete-bipartite needs --p and --q")
-            g = make_complete_bipartite(args.p, args.q)
-        elif args.type == "star":
-            if args.q is None:
-                return _fail("star needs --q (number of leaves)")
-            g = make_complete_bipartite(1, args.q)
-        elif args.type == "path":
-            if args.n is None:
-                return _fail("path needs --n")
-            g = make_path(args.n)
-        else:
-            if args.n is None:
-                return _fail("cycle needs --n")
-            g = make_cycle(args.n)
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.type == "complete-bipartite":
+        if args.p is None or args.q is None:
+            raise ValueError("complete-bipartite needs --p and --q")
+        g = make_complete_bipartite(args.p, args.q)
+    elif args.type == "star":
+        if args.q is None:
+            raise ValueError("star needs --q (number of leaves)")
+        g = make_complete_bipartite(1, args.q)
+    elif args.type == "path":
+        if args.n is None:
+            raise ValueError("path needs --n")
+        g = make_path(args.n)
+    else:
+        if args.n is None:
+            raise ValueError("cycle needs --n")
+        g = make_cycle(args.n)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                write_graph(g, fh)
-        except OSError as exc:
-            return _fail(str(exc))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write_graph(g, fh)
     else:
         write_graph(g, sys.stdout)
     return EXIT_OK
@@ -92,13 +89,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- check
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        g = _load_graph(args.graph)
-        with open(args.labeling, encoding="utf-8") as fh:
-            f = read_labeling(fh)
-        report = validate(g, f)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    g = _load_graph(args.graph)
+    with open(args.labeling, encoding="utf-8") as fh:
+        f = read_labeling(fh)
+    report = validate(g, f)
     if args.json:
         payload = _fields(report)
         payload["graph"] = {"n": g.n, "edges": list(g.edges)}
@@ -160,24 +154,13 @@ def _emit_witnesses(outcome: SearchOutcome, path: str) -> list[str]:
 def cmd_search(args: argparse.Namespace) -> int:
     from setgraceful.search import SearchConfig, search
 
-    try:
-        g = _load_graph(args.graph)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    g = _load_graph(args.graph)
     if args.emit and args.mode == "count":
-        return _fail("--emit needs --mode first or --mode all (count keeps no witnesses)")
-    try:
-        cfg = SearchConfig(mode=args.mode, node_limit=args.node_limit)
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError("--emit needs --mode first or --mode all (count keeps no witnesses)")
+    cfg = SearchConfig(mode=args.mode, node_limit=args.node_limit)
 
     outcome = search(g, cfg)
-    emitted: list[str] = []
-    if args.emit:
-        try:
-            emitted = _emit_witnesses(outcome, args.emit)
-        except OSError as exc:
-            return _fail(str(exc))
+    emitted = _emit_witnesses(outcome, args.emit) if args.emit else []
 
     if args.json:
         payload = _fields(outcome)
@@ -229,14 +212,11 @@ def cmd_theorem(args: argparse.Namespace) -> int:
 
     m = args.m
     if not 1 <= m <= MAX_GROUND_SIZE:
-        return _fail(f"--m must be between 1 and {MAX_GROUND_SIZE}, got {m}")
+        raise ValueError(f"--m must be between 1 and {MAX_GROUND_SIZE}, got {m}")
     target = (1 << m) - 1
     pairs = [(d, target // d) for d in _divisors(target)]
     run_exhaustive = m <= args.exhaustive_up_to
-    try:
-        cfg = SearchConfig(mode="first", node_limit=args.node_limit)
-    except ValueError as exc:
-        return _fail(str(exc))
+    cfg = SearchConfig(mode="first", node_limit=args.node_limit)
 
     rows = []
     for p, q in pairs:
@@ -364,6 +344,8 @@ def main(argv: list[str] | None = None) -> int:
         # still buffered cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _fail(f"standard output closed: {exc}")
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_LIMIT

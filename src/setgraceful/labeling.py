@@ -96,17 +96,13 @@ def edges_cover_once(edges: Sequence[tuple[int, int]], full: int, values: Sequen
 def _first_duplicate(items: Iterable[int]) -> tuple[int, int] | None:
     """The lexicographically smallest index pair (i, j), i < j, of equal items.
 
-    Within one value class the smallest pair is its first and second
-    occurrence, so the answer is the minimum of those pairs over classes.
+    Each repeat pairs with the first occurrence of its item; within one
+    value class the smallest such pair is the one of its second occurrence,
+    so the minimum over all repeats is the answer.
     """
     first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    for idx, item in enumerate(items):
-        if item in first:
-            second.setdefault(item, idx)
-        else:
-            first[item] = idx
-    return min(((first[item], j) for item, j in second.items()), default=None)
+    return min(((i, j) for j, item in enumerate(items)
+                if (i := first.setdefault(item, j)) != j), default=None)
 
 
 def validate(g: Graph, f: Labeling) -> ValidationReport:

@@ -1,5 +1,6 @@
 """End-to-end CLI flows: exit codes, formats, emitted files."""
 
+import ast
 import json
 import os
 import signal
@@ -12,6 +13,7 @@ import pytest
 
 import setgraceful
 from setgraceful import conditions
+from setgraceful import cli as cli_module
 from setgraceful import search as search_module
 from setgraceful.cli import main
 from setgraceful.conditions import ProofStep, proof_trace
@@ -546,6 +548,71 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--type", "tesseract"])
     assert exc.value.code == 2
+
+
+# Every usage error of the four commands, as (argv, message).  `{tmp}` stands
+# for the test's directory, which holds star.graph (K_{1,3}), loop.graph (a
+# loop on its second line), ok.lab (a valid labeling of the star) and
+# short.lab (one vertex short of it).
+_NO_FILE = "[Errno 2] No such file or directory: '{tmp}/%s'"
+_LOOP = "line 2: loop at vertex 1 (graph must be simple)"
+USAGE_ERRORS = {
+    "gen-path-n0": (["gen", "--type", "path", "--n", "0"],
+                    "path needs at least one vertex, got 0"),
+    "gen-path-no-n": (["gen", "--type", "path"], "path needs --n"),
+    "gen-star-no-q": (["gen", "--type", "star"], "star needs --q (number of leaves)"),
+    "gen-kpq-no-q": (["gen", "--type", "complete-bipartite", "--p", "2"],
+                     "complete-bipartite needs --p and --q"),
+    "gen-cycle-n2": (["gen", "--type", "cycle", "--n", "2"],
+                     "cycle needs at least 3 vertices, got 2"),
+    "gen-out-missing-dir": (["gen", "--type", "path", "--n", "3", "--out", "{tmp}/missing/x.graph"],
+                            _NO_FILE % "missing/x.graph"),
+    "check-no-graph": (["check", "{tmp}/none.graph", "{tmp}/ok.lab"], _NO_FILE % "none.graph"),
+    "check-no-labeling": (["check", "{tmp}/star.graph", "{tmp}/none.lab"], _NO_FILE % "none.lab"),
+    "check-loop": (["check", "{tmp}/loop.graph", "{tmp}/ok.lab"], _LOOP),
+    "check-short": (["check", "{tmp}/star.graph", "{tmp}/short.lab"],
+                    "labeling covers 3 vertices, graph has 4"),
+    "search-no-graph": (["search", "{tmp}/none.graph"], _NO_FILE % "none.graph"),
+    "search-loop": (["search", "{tmp}/loop.graph"], _LOOP),
+    "search-limit-0": (["search", "{tmp}/star.graph", "--node-limit", "0"],
+                       "node_limit must be positive, got 0"),
+    "search-limit-neg": (["search", "{tmp}/star.graph", "--node-limit", "-3"],
+                         "node_limit must be positive, got -3"),
+    "search-emit-count": (["search", "{tmp}/star.graph", "--emit", "{tmp}/x.lab"],
+                          "--emit needs --mode first or --mode all (count keeps no witnesses)"),
+    "search-emit-missing-dir": (["search", "{tmp}/star.graph", "--mode", "first",
+                                 "--emit", "{tmp}/missing/w.lab"], _NO_FILE % "missing/w.lab"),
+    "theorem-m0": (["theorem", "--m", "0"], "--m must be between 1 and 30, got 0"),
+    "theorem-m31": (["theorem", "--m", "31"], "--m must be between 1 and 30, got 31"),
+    "theorem-limit-0": (["theorem", "--m", "3", "--node-limit", "0"],
+                        "node_limit must be positive, got 0"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exact(capsys, tmp_path, argv, message):
+    (tmp_path / "star.graph").write_text("0 1\n0 2\n0 3\n")
+    (tmp_path / "loop.graph").write_text("0 1\n1 1\n")
+    (tmp_path / "ok.lab").write_text("m 2\n0 0\n1 1\n2 2\n3 3\n")
+    (tmp_path / "short.lab").write_text("m 2\n0 0\n1 1\n2 2\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+def test_only_main_handles_errors():
+    """Commands raise; `main` alone catches, and alone calls `_fail`, so every
+    usage error leaves by one path."""
+    tree = ast.parse(Path(cli_module.__file__).read_text(encoding="utf-8"))
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "main":
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ExceptHandler) or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_fail"):
+                found.append(f"{type(node).__name__} at line {node.lineno}")
+    assert found == []
 
 
 def test_module_entry_point_exit_codes(tmp_path):
