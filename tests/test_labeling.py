@@ -172,7 +172,7 @@ def test_validate_verdict_edge_cases():
 def test_valid_labelings_take_the_witness_free_path(monkeypatch):
     # A valid labeling is decided without a witness search and gets the one
     # shared all-valid report; the enumerate_m3 benchmark leans on this.
-    found = [(g, brute_force_enumerate(g, 3))
+    found = [(g, list(brute_force_enumerate(g, 3)))
              for g in (make_complete_bipartite(1, 7), make_cycle(7))]
     assert [len(labelings) for _, labelings in found] == [40_320, 2_688]
 

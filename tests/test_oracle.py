@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,19 +20,21 @@ from conftest import predicate_cases, set_graceful_by_definition
 
 def test_k2_both_bijections():
     found = brute_force_enumerate(make_complete_bipartite(1, 1), 1)
+    assert iter(found) is found
     assert [f.values for f in found] == [(0, 1), (1, 0)]
+    assert list(found) == []
 
 
 def test_p4_has_none():
-    assert brute_force_enumerate(make_path(4), 2) == []
+    assert list(brute_force_enumerate(make_path(4), 2)) == []
 
 
 def test_k13_all_bijections_work():
-    assert len(brute_force_enumerate(make_complete_bipartite(1, 3), 2)) == 24
+    assert len(list(brute_force_enumerate(make_complete_bipartite(1, 3), 2))) == 24
 
 
 def test_results_are_valid_and_lexicographic():
-    found = brute_force_enumerate(make_cycle(3), 2)
+    found = list(brute_force_enumerate(make_cycle(3), 2))
     values = [f.values for f in found]
     assert values == sorted(values)
     g = make_cycle(3)
@@ -40,15 +43,31 @@ def test_results_are_valid_and_lexicographic():
 
 def test_inconsistent_m_yields_empty():
     # Wrong ground size for the edge count is allowed and finds nothing.
-    assert brute_force_enumerate(make_path(4), 3) == []
+    assert list(brute_force_enumerate(make_path(4), 3)) == []
 
 
 def test_cap_refusal_reports_size():
     g = make_complete_bipartite(3, 5)
-    # 16!/8! injective maps, against the cap of 10**7.
+    # 16!/8! injective maps, against the cap of 10**7.  Both refusals raise
+    # at the call itself, before any next() on the iterator.
     with pytest.raises(RuntimeError,
                        match=re.escape("would enumerate 518918400 assignments (cap 10000000)")):
         brute_force_enumerate(g, 4)
+    with pytest.raises(ValueError, match="ground size 31 exceeds the supported cap 30"):
+        brute_force_enumerate(make_path(2), 31)
+
+
+def test_oracle_streams_its_labelings():
+    # K_{1,7} has 40,320 labelings at m = 3, about 6 MB as a list; consumed
+    # one at a time they need no more than one Labeling.
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in brute_force_enumerate(make_complete_bipartite(1, 7), 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 40_320
+    assert peak < 1 << 19
 
 
 def test_omitted_assignments_really_fail():
@@ -85,7 +104,7 @@ def test_oracle_matches_validator_filter_on_every_small_graph():
     assert len(cases) == 2 + 4 + 76
     hits = 0
     for g, m in cases:
-        found = brute_force_enumerate(g, m)
+        found = list(brute_force_enumerate(g, m))
         assert found == validator_filtered(g, m), (g, m)
         hits += len(found)
     assert hits > 0
@@ -97,7 +116,7 @@ def test_oracle_matches_validator_filter_on_random_m3_graphs():
     for n, edges in ((5, 7), (6, 7), (7, 7), (8, 7), (6, 6)):
         pairs = list(itertools.combinations(range(n), 2))
         g = Graph(n, tuple(rng.sample(pairs, edges)))
-        found = brute_force_enumerate(g, 3)
+        found = list(brute_force_enumerate(g, 3))
         assert found == validator_filtered(g, 3), g
         hits += len(found)
     assert hits > 0
@@ -139,28 +158,35 @@ def test_oracle_tests_every_injective_assignment(monkeypatch):
         return edges_cover_once(edges, full, values)
 
     monkeypatch.setattr("setgraceful.oracle.edges_cover_once", counting)
-    assert brute_force_enumerate(make_path(8), 3) == []
+    assert list(brute_force_enumerate(make_path(8), 3)) == []
     assert len(calls) == math.perm(8, 8) == 40_320
     rng = random.Random(15)
     g = Graph(6, tuple(rng.sample(list(itertools.combinations(range(6), 2)), 7)))
     calls.clear()
-    brute_force_enumerate(g, 3)
+    list(brute_force_enumerate(g, 3))
     assert len(calls) == len(set(calls)) == math.perm(8, 6) == 20_160
 
 
 def test_oracle_builds_labelings_only_for_hits(monkeypatch):
     # A deterministic stand-in for a time bound: P_8 has no labeling, so
-    # none of its 40,320 assignments may cost a Labeling.
-    built = []
+    # none of its 40,320 assignments may cost a Labeling.  The tests are
+    # counted too, so the empty list cannot come from an unconsumed iterator.
+    built, tested = [], []
 
-    def counting(m, values):
+    def building(m, values):
         built.append(values)
         return Labeling(m, values)
 
-    monkeypatch.setattr("setgraceful.oracle.Labeling", counting)
-    assert brute_force_enumerate(make_path(8), 3) == []
+    def testing(edges, full, values):
+        tested.append(values)
+        return edges_cover_once(edges, full, values)
+
+    monkeypatch.setattr("setgraceful.oracle.Labeling", building)
+    monkeypatch.setattr("setgraceful.oracle.edges_cover_once", testing)
+    assert list(brute_force_enumerate(make_path(8), 3)) == []
+    assert len(tested) == 40_320
     assert built == []
-    assert len(brute_force_enumerate(make_complete_bipartite(1, 3), 2)) == len(built) == 24
+    assert len(list(brute_force_enumerate(make_complete_bipartite(1, 3), 2))) == len(built) == 24
 
 
 def _package_imports(module: str) -> set[str]:

@@ -106,7 +106,7 @@ def test_edge_cases_match_oracle():
     ]
     for g, expected, reason in cases:
         m = feasible_ground_size(g)
-        assert len(brute_force_enumerate(g, m)) == expected
+        assert len(list(brute_force_enumerate(g, m))) == expected
         for mode in ("count", "all"):
             outcome = search(g, SearchConfig(mode=mode))
             assert (outcome.m, outcome.count_raw, outcome.reason) == (m, expected, reason)

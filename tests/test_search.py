@@ -87,7 +87,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name,g,m", FEASIBLE_CORPUS, ids=[c[0] for c in FEASIBLE_CORPUS])
 def test_oracle_equivalence(name, g, m):
-    expected = len(brute_force_enumerate(g, m))
+    expected = len(list(brute_force_enumerate(g, m)))
     outcome = search(g, SearchConfig(mode="count"))
     assert outcome.m == m
     assert outcome.exhausted
