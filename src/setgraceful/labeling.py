@@ -8,9 +8,8 @@ vertex labels are pairwise distinct and the edge labels hit every nonempty
 subset exactly once.
 
 Labeling file format (in the grammar of `labels`): a header line ``m <int>``,
-then one line per vertex, ``<vertex> <label>``, where the label may be
-decimal, 0b-prefixed binary, or a bare string of exactly m binary digits
-(see `labels.parse_label`).  Vertices 0..n-1 must each appear exactly once.
+then one line ``<vertex> <label>`` per vertex, each of 0..n-1 exactly once,
+where the label is a decimal natural below 2**m (`labels.parse_label`).
 """
 
 from __future__ import annotations

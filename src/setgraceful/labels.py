@@ -8,9 +8,9 @@ and the symmetric difference of two labels is their XOR, written inline as
 ``a ^ b``.  This module holds the ground-size cap, the search modes, the
 one rule for counts (`check_count`), and what both file formats share:
 ``#`` starts a comment, fields are separated by whitespace, numbers are
-naturals in ASCII decimal digits (`content_lines`, `parse_natural`), and a
-malformed line raises `ParseError` with its number.  Label literals
-(`parse_label`) also take binary.
+naturals in ASCII decimal digits (`content_lines`, `parse_natural`), labels
+among them (`parse_label`), and a malformed line raises `ParseError` with
+its number.
 """
 
 from __future__ import annotations
@@ -63,35 +63,27 @@ def content_lines(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
             yield lineno, fields
 
 
-def parse_natural(text: str, base: int = 10) -> int:
-    """The natural number that text writes in ASCII digits of base 2 or 10.
+def parse_natural(text: str) -> int:
+    """The natural number that text writes in ASCII decimal digits.
 
     Unlike int(), this takes no sign, no "_" between digits, no whitespace
     and no non-ASCII digit; anything else raises ValueError.
     """
     # Stripping the digits from both ends leaves nothing only if every character is one.
-    if not text or text.strip("0123456789"[:base]):
+    if not text or text.strip("0123456789"):
         raise ValueError(f"expected a natural number, got {text!r}")
-    return int(text, base)
+    return int(text)
 
 
 def parse_label(text: str, m: int) -> int:
-    """Parse a label literal: ASCII decimal, or binary with a 0b prefix.
+    """Parse a label literal, a natural in ASCII decimal digits (`parse_natural`).
 
-    Any bare 0/1 string of exactly m characters is read as zero-padded
-    binary, even where it is also an in-range decimal: at m = 4, "0011" is
-    3, not 11.  Raises ValueError for malformed input and for values outside
-    the label universe of ground size m.
+    Raises ValueError for malformed input and for values outside the label
+    universe of ground size m.
     """
     check_ground_size(m)
-    stripped = text.strip()
     try:
-        if stripped.startswith(("0b", "0B")):
-            value = parse_natural(stripped[2:], 2)
-        elif len(stripped) == m and set(stripped) <= {"0", "1"}:
-            value = int(stripped, 2)
-        else:
-            value = parse_natural(stripped)
+        value = parse_natural(text)
     except ValueError:
         raise ValueError(f"not a label literal: {text!r}") from None
     if value >= 1 << m:

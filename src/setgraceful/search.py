@@ -12,8 +12,10 @@ structure of its labels, so every affine map x -> Mx xor t of GF(2)**m (M
 invertible) sends set-graceful labelings to set-graceful labelings.  The
 labels of a set-graceful labeling span GF(2)**m, so the action of the
 affine group AGL(m,2) is free and every orbit has 2**m * |GL(m,2)|
-members, where |GL(m,2)| = prod_{i<m} (2**m - 2**i).  The mode decides how
-the engine uses that group:
+members, where |GL(m,2)| = prod_{i<m} (2**m - 2**i).  The modes are three
+ways to read one walk, `_explore`: count mode counts the labelings it
+yields, first mode takes one and closes it, and all mode builds a witness
+from each as it comes.  The mode also picks the tree the walk covers:
 
 - First and count mode visit one labeling per orbit, the canonical one:
   the anchor (first vertex in order) carries the empty label, and every
@@ -40,6 +42,8 @@ config always yield the same outcome, node count included.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import islice
+from typing import Iterator
 
 from setgraceful.conditions import feasible_ground_size, obstruction
 from setgraceful.graph import Graph
@@ -119,9 +123,9 @@ def _explore(
     back: list[list[int]],
     caps: list[int],
     first: int,
-    mode: str,
     budget: int | None,
-) -> tuple[int, list[tuple[int, ...]], int, bool]:
+    stats: dict[str, int],
+) -> Iterator[list[int]]:
     """Iterative DFS over all positions, the first restricted to the labels in first.
 
     The next position's candidates are the free labels in caps[d], where d
@@ -130,11 +134,11 @@ def _explore(
     number of basis vectors 1, 2, 4, ... placed; in the whole tree every
     cap is the full mask and d does not matter.
 
-    Returns (solutions, witness tuples in order-space, assignment attempts,
-    limit_hit).
+    Yields each solution's labels in order-space, in one list that the walk
+    overwrites when resumed.  However it ends (exhausted, stopped by budget,
+    or closed by its consumer), it records its assignment attempts in
+    stats["nodes"] and whether the budget stopped it in stats["limit_hit"].
     """
-    count = 0
-    witnesses: list[tuple[int, ...]] = []
     nodes = 0
     limit_hit = False
 
@@ -146,45 +150,44 @@ def _explore(
     used_v = used_e = 0
     i = 0
     avail[0] = first
-    while True:
-        a = avail[i]
-        if a == 0:
-            if i == 0:
-                break
-            i -= 1
-            # Undo the assignment currently applied at the shallower depth.
-            used_v ^= 1 << labels[i]
-            used_e ^= ebits[i]
-            continue
-        if budget is not None and nodes >= budget:
-            limit_hit = True
-            break
-        nodes += 1
-        low = a & -a
-        avail[i] = a ^ low
-        lab = low.bit_length() - 1
-        acc = 0
-        for j in back[i]:
-            # Back-neighbours carry distinct labels, so their edge bits differ.
-            eb = 1 << (lab ^ labels[j])
-            if used_e & eb:
-                break
-            acc |= eb
-        else:
-            labels[i] = lab
-            if i == last:
-                count += 1
-                if mode != "count":
-                    witnesses.append(tuple(labels))
-                    if mode == "first":
-                        break
+    try:
+        while True:
+            a = avail[i]
+            if a == 0:
+                if i == 0:
+                    break
+                i -= 1
+                # Undo the assignment currently applied at the shallower depth.
+                used_v ^= 1 << labels[i]
+                used_e ^= ebits[i]
                 continue
-            ebits[i] = acc
-            used_v |= low
-            used_e |= acc
-            i += 1
-            avail[i] = caps[(used_v.bit_length() - 1).bit_length()] & ~used_v
-    return count, witnesses, nodes, limit_hit
+            if budget is not None and nodes >= budget:
+                limit_hit = True
+                break
+            nodes += 1
+            low = a & -a
+            avail[i] = a ^ low
+            lab = low.bit_length() - 1
+            acc = 0
+            for j in back[i]:
+                # Back-neighbours carry distinct labels, so their edge bits differ.
+                eb = 1 << (lab ^ labels[j])
+                if used_e & eb:
+                    break
+                acc |= eb
+            else:
+                labels[i] = lab
+                if i == last:
+                    yield labels
+                    continue
+                ebits[i] = acc
+                used_v |= low
+                used_e |= acc
+                i += 1
+                avail[i] = caps[(used_v.bit_length() - 1).bit_length()] & ~used_v
+    finally:
+        stats["nodes"] = nodes
+        stats["limit_hit"] = limit_hit
 
 
 def search(g: Graph, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -242,17 +245,23 @@ def _tree_search(g: Graph, m: int, cfg: SearchConfig) -> SearchOutcome:
         # label is capped at the next basis vector 2**d.
         first, caps = 1, [(2 << (1 << d)) - 1 for d in range(m)] + [full]
         orbit = universe * _gl_order(m)
-    count, wit_tuples, nodes, limit_hit = _explore(
-        back, caps, first, cfg.mode, cfg.node_limit,
-    )
-    # A witness lists labels in vertex order; pos[v] is v's place in it.
-    witnesses = tuple(Labeling(m, tuple(map(w.__getitem__, pos))) for w in wit_tuples)
+    stats: dict[str, int] = {}
+    walk = _explore(back, caps, first, cfg.node_limit, stats)
+    if cfg.mode == "count":
+        count, witnesses = sum(1 for _ in walk), ()
+    else:
+        # First mode keeps one solution, all mode every one.  A witness lists
+        # labels in vertex order; pos[v] is v's place in it.
+        hits = walk if cfg.mode == "all" else islice(walk, 1)
+        witnesses = tuple(Labeling(m, tuple(map(w.__getitem__, pos))) for w in hits)
+        count = len(witnesses)
+    walk.close()
 
     return SearchOutcome(
         m=m,
         count_raw=count * orbit,
         witnesses=witnesses,
-        nodes_explored=nodes,
-        exhausted=not limit_hit,
+        nodes_explored=stats["nodes"],
+        exhausted=not stats["limit_hit"],
         reason=None,
     )

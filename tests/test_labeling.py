@@ -268,8 +268,9 @@ def test_read_labeling_roundtrip_styles():
 
 
 def test_read_labeling_mixed_formats():
-    f = read_labeling(io.StringIO("m 3\n0 0b101\n1 3\n"))
-    assert f == Labeling(3, (5, 3))
+    # Labels are decimal only, so a binary one is an error on its line.
+    with pytest.raises(ParseError, match="line 2: not a label literal: '0b101'"):
+        read_labeling(io.StringIO("m 3\n0 0b101\n1 3\n"))
 
 
 def test_read_labeling_missing_vertex():

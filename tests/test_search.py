@@ -5,6 +5,7 @@ tree, so it is the reference with symmetry switched off."""
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -302,6 +303,19 @@ def test_all_mode_walks_the_whole_tree():
     star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all"))
     assert star.nodes_explored == 109_600
     assert len(star.witnesses) == star.count_raw == 40_320
+
+
+def test_all_mode_holds_its_witnesses_once():
+    # Each witness is built as the walk yields it, so the peak is the tuple
+    # of Labelings the outcome keeps, with no second list of the solutions.
+    tracemalloc.start()
+    try:
+        star = search(make_complete_bipartite(1, 7), SearchConfig(mode="all"))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(star.witnesses) == 40_320
+    assert peak <= 1.2 * held
 
 
 def test_all_mode_node_limit_bounds_witnesses():

@@ -100,8 +100,9 @@ def partial_cap_count(g: Graph, m: int, k: int) -> int:
         back[j].append(i)
     full = (1 << (1 << m)) - 1
     caps = [(2 << (1 << d)) - 1 if d < k else full for d in range(m + 1)]
-    count, _, _, limit_hit = _explore(back, caps, 1, "count", None)
-    assert not limit_hit
+    stats = {}
+    count = sum(1 for _ in _explore(back, caps, 1, None, stats))
+    assert not stats["limit_hit"]
     weight = 1 << m
     for i in range(k):
         weight *= (1 << m) - (1 << i)

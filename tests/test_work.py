@@ -71,6 +71,15 @@ FIXED = [
 ]
 
 
+# The gauge's graphs that have a labeling, with C_7 and K_{1,7}.
+LABELED = [
+    *((f"seed-{seed}", graph_from(edges)) for seed, edges, _, _ in TREES_WITH_LABELING),
+    *((name, g) for name, g, count, _ in FIXED if count),
+    ("C_7", make_cycle(7)),
+    ("K_{1,7}", make_complete_bipartite(1, 7)),
+]
+
+
 def count_mode(g):
     outcome = search(g, SearchConfig(mode="count"))
     assert outcome.exhausted and outcome.reason is None
@@ -102,3 +111,16 @@ def test_tree_without_labeling(seed, edges, nodes):
 @pytest.mark.parametrize("name, g, count, nodes", FIXED, ids=[case[0] for case in FIXED])
 def test_fixed_graph(name, g, count, nodes):
     assert count_mode(g) == (count, nodes)
+
+
+@pytest.mark.parametrize("name, g", LABELED, ids=[case[0] for case in LABELED])
+def test_first_mode_is_count_mode_stopped_at_its_first_solution(name, g):
+    # Both modes read one walk of the canonical tree.  First mode closes it
+    # at its first solution and still reports the nodes it spent, so a count
+    # limited to that many nodes finds exactly that solution, and one fewer
+    # finds none.
+    first = search(g, SearchConfig(mode="first"))
+    nodes = first.nodes_explored
+    assert first.count_raw > 0
+    assert search(g, SearchConfig("count", node_limit=nodes)).count_raw == first.count_raw
+    assert search(g, SearchConfig("count", node_limit=nodes - 1)).count_raw == 0
